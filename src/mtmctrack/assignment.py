@@ -1,9 +1,9 @@
 """Linear assignment and thresholded greedy association.
 
 Both solvers consume rectangular distance matrices where ``inf`` marks a
-forbidden pairing. The Hungarian path returns a minimum-cost matching of
-maximal feasible size; the greedy path accepts globally cheapest pairs until
-the threshold is crossed.
+forbidden pairing; a NaN entry is an error, not a forbidden pairing. The
+Hungarian path returns a minimum-cost matching of maximal feasible size; the
+greedy path accepts globally cheapest pairs until the threshold is crossed.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
+    if np.isnan(m).any():
+        raise ValueError("distance matrix contains NaN")
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return AssignmentResult([], list(range(rows)), list(range(cols)))
@@ -73,6 +75,8 @@ def greedy_associate(matrix: np.ndarray, threshold: float) -> list[tuple[int, in
     m = np.array(matrix, dtype=np.float64, copy=True)
     if m.ndim != 2 or m.size == 0:
         return []
+    if np.isnan(m).any():
+        raise ValueError("distance matrix contains NaN")
     accepted: list[tuple[int, int]] = []
     while True:
         flat = int(np.argmin(m))  # first occurrence = lexicographic tie-break

@@ -96,7 +96,11 @@ class PoseKeypoints:
         arr = np.asarray(xyc, dtype=np.float64)
         if arr.shape != (NUM_KEYPOINTS, 3):
             raise ValueError(f"pose must have shape (17, 3), got {arr.shape}")
-        if np.any(arr[:, 2] < 0.0) or np.any(arr[:, 2] > 1.0):
+        if not np.isfinite(arr[:, :2]).all():
+            raise ValueError("keypoint coordinates must be finite")
+        conf = arr[:, 2]
+        # Written so that a NaN confidence fails the range check.
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
             raise ValueError("keypoint confidences must lie in [0, 1]")
         self.xyc = arr
 
@@ -133,6 +137,15 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not (
+            math.isfinite(self.x)
+            and math.isfinite(self.y)
+            and math.isfinite(self.w)
+            and math.isfinite(self.h)
+        ):
+            raise ValueError(
+                f"box fields must be finite, got ({self.x}, {self.y}, {self.w}, {self.h})"
+            )
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
 
@@ -216,11 +229,11 @@ class TrackerConfig:
             ("feature_dim", self.feature_dim),
         ]
         for name, value in positive:
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.theta_valid >= NUM_KEYPOINTS:
             raise ValueError(f"theta_valid must be < {NUM_KEYPOINTS}")
-        if self.n_c < 1:
+        if not (math.isfinite(self.n_c) and self.n_c >= 1):
             raise ValueError("n_c must be >= 1")
 
     @classmethod
@@ -228,13 +241,33 @@ class TrackerConfig:
         return tuple(f.name for f in fields(cls))
 
 
+def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared Euclidean distance between two 1-D float64 arrays of equal
+    length, unchecked: the appearance-distance kernel.
+
+    ``d.dot(d)`` is the sum ``np.linalg.norm`` forms for a 1-D float64
+    vector, so ``math.sqrt`` of this value is bit-identical to
+    ``np.linalg.norm(a - b)``. Correctly rounded sqrt is monotone, so a
+    minimum over squared distances has the root of the minimum distance.
+    Comparing squares does not decide a tie the same way: two squares can
+    differ while their roots round equal.
+    """
+    d = a - b
+    return d.dot(d)
+
+
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two embedding vectors of equal length."""
+    """Euclidean distance between two embedding vectors of equal length.
+
+    For 1-D float64 inputs the result is bit-identical to
+    ``float(np.linalg.norm(a - b))``; see ``squared_distance``. Inputs of
+    more dimensions are compared element by element in C order.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return math.sqrt(squared_distance(a.ravel(), b.ravel()))
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -13,6 +13,7 @@ mutate their inputs, so a caller can hold the previous state for free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .core import (
     Orientation,
     TrackerConfig,
     euclidean_distance,
+    squared_distance,
 )
 
 
@@ -77,7 +79,7 @@ class OrientationBank:
         slots = list(self.slots)
         current = slots[orientation.value]
         if current is None:
-            slots[orientation.value] = MeanSlot(feature.copy(), 1)
+            slots[orientation.value] = MeanSlot(feature, 1)
         else:
             slots[orientation.value] = current.fold(feature)
         return OrientationBank(tuple(slots))
@@ -121,8 +123,13 @@ def update_cluster(
     clusters = cluster_set.clusters
     if len(clusters) < n_c:
         return ClusterSet(clusters + (Cluster(np.array(feature, dtype=np.float64), 1),))
-    distances = [euclidean_distance(c.center, feature) for c in clusters]
-    k = int(np.argmin(distances))
+    # Compare the roots, not the squares: two squares can differ while their
+    # roots round equal, and equal roots must tie to the lowest index.
+    k, best = 0, FORBIDDEN
+    for idx, c in enumerate(clusters):
+        d = math.sqrt(squared_distance(c.center, feature))
+        if d < best:
+            k, best = idx, d
     old = clusters[k]
     new_center = (old.center * old.member_count + feature) / (old.member_count + 1)
     updated = Cluster(new_center, old.member_count + 1)
@@ -134,18 +141,22 @@ def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTr
 
     ``det`` needs ``embedding``, ``occlusion``, ``orientation`` and ``frame``
     attributes; both detections and stored observation records qualify.
+    The embedding is copied once; the parts of the new feature share that
+    copy, which is safe because no update writes into an array.
     """
     if det.occlusion is None or det.orientation is None:
         raise ValueError("detection state must be populated before feature updates")
-    emb = np.asarray(det.embedding, dtype=np.float64)
+    emb = np.array(det.embedding, dtype=np.float64)
     if det.occlusion is OcclusionStatus.INVALID:
-        return replace(F, invalid=InvalidSlot(emb.copy(), det.frame))
+        return FusedTrackingFeature(
+            F.current, F.orientation_bank, F.cluster_set, InvalidSlot(emb, det.frame), F.avg
+        )
     return FusedTrackingFeature(
-        current=emb.copy(),
+        current=emb,
         orientation_bank=F.orientation_bank.fold(det.orientation, emb),
         cluster_set=update_cluster(F.cluster_set, emb, det.occlusion, cfg.n_c),
         invalid=None,
-        avg=MeanSlot(emb.copy(), 1) if F.avg is None else F.avg.fold(emb),
+        avg=MeanSlot(emb, 1) if F.avg is None else F.avg.fold(emb),
     )
 
 
@@ -171,16 +182,6 @@ def replay_feature(observations, cfg: TrackerConfig) -> FusedTrackingFeature:
     return F
 
 
-def dist_orientation_to_det(bank: OrientationBank, det) -> float:
-    """Distance to the bank slot sharing the detection's orientation."""
-    if det.orientation is None:
-        raise ValueError("detection orientation must be populated")
-    slot = bank.slot(det.orientation)
-    if slot is None:
-        return FORBIDDEN
-    return euclidean_distance(slot.mean, det.embedding)
-
-
 def dist_orientation_banks(a: OrientationBank, b: OrientationBank) -> float:
     """Minimum same-orientation distance between two banks."""
     best = FORBIDDEN
@@ -200,13 +201,6 @@ def dist_cluster_sets(a: ClusterSet, b: ClusterSet) -> float:
         for ca in a.clusters
         for cb in b.clusters
     )
-
-
-def dist_cluster_to_det(cluster_set: ClusterSet, feature: np.ndarray) -> float:
-    """Minimum distance from an embedding to any cluster center."""
-    if not cluster_set.clusters:
-        return FORBIDDEN
-    return min(euclidean_distance(c.center, feature) for c in cluster_set.clusters)
 
 
 RECTIFY = "rectify"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -89,12 +90,17 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
                     raise ParseError(
                         f"{path}: line {lineno}: bbox needs 4 values, got {len(bbox)}"
                     )
+                conf = float(record["conf"])
+                if not math.isfinite(conf):
+                    raise ParseError(
+                        f"{path}: line {lineno}: conf must be finite, got {conf}"
+                    )
                 dets.append(
                     DetectionObservation(
                         camera_id=int(record["camera"]),
                         frame=int(record["frame"]),
                         bbox=BBox(*[float(v) for v in bbox]),
-                        det_confidence=float(record["conf"]),
+                        det_confidence=conf,
                         pose=PoseKeypoints(
                             np.asarray(keypoints, dtype=np.float64).reshape(
                                 NUM_KEYPOINTS, 3
@@ -228,6 +234,10 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
                 raise ParseError(
                     f"{path}: line {lineno}: non-numeric value {raw!r} for {key}"
                 ) from exc
+            if not math.isfinite(number):
+                raise ParseError(
+                    f"{path}: line {lineno}: {key} must be finite, got {raw!r}"
+                )
             if key in _BOOL_FIELDS:
                 values[key] = bool(int(number))
             elif key in _INT_FIELDS:

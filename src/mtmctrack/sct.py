@@ -12,6 +12,7 @@ the window's rows are emitted.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -28,15 +29,13 @@ from .core import (
     TrackRow,
     TrackerConfig,
     center_distance,
-    euclidean_distance,
     forbidden_matrix,
+    squared_distance,
 )
 from .features import (
     CLUSTER,
     FusedTrackingFeature,
     RECTIFY,
-    dist_cluster_to_det,
-    dist_orientation_to_det,
     expire_invalid,
     replay_feature,
     tracklet_pair_distance,
@@ -139,46 +138,76 @@ class CameraTrackerState:
     id_aliases: dict[int, int] = field(default_factory=dict)
 
 
-def spatial_gate(t: Tracklet, det: DetectionObservation, cfg: TrackerConfig) -> bool:
-    """Positional sanity check: the detection must be reachable from the
-    tracklet's last box at ``v_max`` pixels per frame."""
-    gap = det.frame - t.end_frame
-    if gap <= 0:
-        raise ValueError("detection must be later than the tracklet's last frame")
-    return center_distance(t.last_bbox, det.bbox) <= cfg.v_max * gap
-
-
 def compute_distance_matrix(
     tracklets: list[Tracklet],
     dets: list[DetectionObservation],
     cfg: TrackerConfig,
 ) -> np.ndarray:
     """Tracklet-detection distances: the minimum over the enabled appearance
-    channels, forbidden where the spatial gate fails or no channel applies."""
+    channels, forbidden where the spatial gate fails or no channel applies.
+
+    The spatial gate requires the detection's box center to be reachable
+    from the tracklet's last box center at ``v_max`` pixels per frame. Box
+    centers, frames and channel vectors are read once per call, not once
+    per pair; the channel minimum is taken over squared distances and
+    rooted once (see ``squared_distance``).
+    """
     m = forbidden_matrix(len(tracklets), len(dets))
+    if not tracklets or not dets:
+        return m
+    v_max = cfg.v_max
+    use_orientation = cfg.use_orientation_feature
+    use_cluster = cfg.use_cluster_feature
+    use_invalid = cfg.use_invalid_feature
+    # Per detection: box center, frame, embedding, orientation slot index
+    # (None when that channel is off) and whether the invalid channel applies.
+    columns = []
+    for det in dets:
+        if use_orientation and det.orientation is None:
+            raise ValueError("detection orientation must be populated")
+        cx, cy = det.bbox.center
+        columns.append(
+            (
+                cx,
+                cy,
+                det.frame,
+                det.embedding,
+                det.orientation.value if use_orientation else None,
+                det.occlusion is OcclusionStatus.INVALID,
+            )
+        )
+    first_frame = min(det.frame for det in dets)
     for i, t in enumerate(tracklets):
         if t.phase is TrackingPhase.DISAPPEARED:
             raise ValueError("disappeared tracklets cannot participate in matching")
+        end = t.end_frame
+        if first_frame <= end:
+            raise ValueError("detection must be later than the tracklet's last frame")
+        tx, ty = t.last_bbox.center
         F = t.fused
-        for j, det in enumerate(dets):
-            if not spatial_gate(t, det, cfg):
+        # Channels every detection is compared with.
+        shared = [] if F.current is None else [F.current]
+        if use_cluster:
+            shared += [c.center for c in F.cluster_set.clusters]
+        slots = F.orientation_bank.slots
+        invalid = F.invalid.feature if use_invalid and F.invalid is not None else None
+        for j, (dx, dy, frame, emb, orientation, det_invalid) in enumerate(columns):
+            if not math.hypot(tx - dx, ty - dy) <= v_max * (frame - end):
                 continue
             best = FORBIDDEN
-            if F.current is not None:
-                best = min(best, euclidean_distance(F.current, det.embedding))
-            if cfg.use_orientation_feature:
-                best = min(best, dist_orientation_to_det(F.orientation_bank, det))
-            if cfg.use_cluster_feature:
-                best = min(best, dist_cluster_to_det(F.cluster_set, det.embedding))
-            if (
-                cfg.use_invalid_feature
-                and F.invalid is not None
-                and det.occlusion is OcclusionStatus.INVALID
-            ):
-                best = min(
-                    best, euclidean_distance(F.invalid.feature, det.embedding)
-                )
-            m[i, j] = best
+            for vector in shared:
+                d = squared_distance(vector, emb)
+                if d < best:
+                    best = d
+            if orientation is not None and slots[orientation] is not None:
+                d = squared_distance(slots[orientation].mean, emb)
+                if d < best:
+                    best = d
+            if invalid is not None and det_invalid:
+                d = squared_distance(invalid, emb)
+                if d < best:
+                    best = d
+            m[i, j] = math.sqrt(best)
     return m
 
 

@@ -129,6 +129,27 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_nan(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            hungarian(np.array([[nan, 1.0], [2.0, nan]]))
+        with pytest.raises(ValueError, match="NaN"):
+            hungarian(np.array([[FORBIDDEN, nan]]))
+
+    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
+            m = rng.integers(0, 20, size=(rows, cols)).astype(float)
+            m[rng.random(size=(rows, cols)) < 0.3] = FORBIDDEN
+            result = hungarian(m)
+            oracle_cost, oracle_size = brute_force_min_cost(m)
+            assert len(result.matched_pairs) == oracle_size
+            assert sum(m[r, c] for r, c in result.matched_pairs) == oracle_cost
+            m[rng.integers(0, rows), rng.integers(0, cols)] = np.nan
+            with pytest.raises(ValueError):
+                hungarian(m)
+
 
 class TestGreedyAssociate:
     def test_all_above_threshold_is_empty(self):
@@ -177,3 +198,21 @@ class TestGreedyAssociate:
 
     def test_forbidden_only_matrix(self):
         assert greedy_associate(np.full((3, 3), FORBIDDEN), 1.0) == []
+
+    def test_rejects_nan(self):
+        # A NaN is where argmin lands, so it used to end the loop and drop
+        # the cheaper pair (1, 1).
+        m = np.array([[np.nan, 5.0], [5.0, 1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            greedy_associate(m, 3.0)
+
+    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):
+        rng = np.random.default_rng(38)
+        for _ in range(100):
+            m = rng.uniform(0, 10, size=(4, 5))
+            m[rng.random(size=(4, 5)) < 0.3] = FORBIDDEN
+            picks = greedy_associate(m, 6.0)
+            assert all(np.isfinite(m[r, c]) and m[r, c] <= 6.0 for r, c in picks)
+            m[rng.integers(0, 4), rng.integers(0, 5)] = np.nan
+            with pytest.raises(ValueError):
+                greedy_associate(m, 6.0)

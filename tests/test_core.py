@@ -13,6 +13,7 @@ from mtmctrack.core import (
     center_distance,
     euclidean_distance,
     iou,
+    squared_distance,
 )
 
 
@@ -37,6 +38,24 @@ class TestEuclideanDistance:
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=16), rng.normal(size=16)
         assert euclidean_distance(a, b) == euclidean_distance(b, a)
+
+    @given(
+        length=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e6, 1e150]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_linalg_norm(self, length, seed, scale):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=length) * scale
+        b = rng.normal(size=length) * scale
+        assert euclidean_distance(a, b) == float(np.linalg.norm(a - b))
+        assert math.sqrt(squared_distance(a, b)) == float(np.linalg.norm(a - b))
+
+    def test_matrix_inputs_compare_elementwise(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        assert euclidean_distance(a, b) == float(np.linalg.norm(a - b))
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -139,3 +158,29 @@ class TestTypes:
             TrackerConfig(n_c=0)
         with pytest.raises(ValueError):
             TrackerConfig(mu_m=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["v_max", "theta_rectify", "mu_m", "max_gap", "n_c"])
+    def test_config_rejects_non_finite(self, name, value):
+        # v_max = NaN used to pass and then fail every gate comparison.
+        with pytest.raises(ValueError):
+            TrackerConfig(**{name: value})
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_bbox_rejects_non_finite(self, field, value):
+        args = [0.0, 0.0, 10.0, 10.0]
+        args[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            BBox(*args)
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_pose_rejects_non_finite(self, column):
+        xyc = np.full((17, 3), 0.5)
+        xyc[4, column] = np.nan
+        with pytest.raises(ValueError):
+            PoseKeypoints(xyc)
+        if column < 2:
+            xyc[4, column] = np.inf
+            with pytest.raises(ValueError):
+                PoseKeypoints(xyc)

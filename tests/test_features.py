@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mtmctrack.core import FORBIDDEN, OcclusionStatus, Orientation, TrackerConfig
+from mtmctrack.core import (
+    BBox,
+    DetectionObservation,
+    FORBIDDEN,
+    OcclusionStatus,
+    Orientation,
+    PoseKeypoints,
+    TrackerConfig,
+)
 from mtmctrack.features import (
     CLUSTER,
     Cluster,
@@ -12,15 +23,14 @@ from mtmctrack.features import (
     OrientationBank,
     RECTIFY,
     dist_cluster_sets,
-    dist_cluster_to_det,
     dist_orientation_banks,
-    dist_orientation_to_det,
     expire_invalid,
     replay_feature,
     tracklet_pair_distance,
     update_cluster,
     update_on_match,
 )
+from mtmctrack.sct import ObsRecord, Tracklet, TrackingPhase, compute_distance_matrix
 
 
 class FakeDet:
@@ -41,6 +51,49 @@ def vec(*values, dim=8):
     v = np.zeros(dim)
     v[: len(values)] = values
     return v
+
+
+# Only the channel under test: no cluster or invalid channel.
+ORIENTATION_ONLY = TrackerConfig(
+    feature_dim=8, use_cluster_feature=False, use_invalid_feature=False
+)
+CLUSTER_ONLY = TrackerConfig(
+    feature_dim=8, use_orientation_feature=False, use_invalid_feature=False
+)
+
+
+def det_distance(F, embedding, orientation=Orientation.FRONT, cfg=CFG):
+    """The tracklet-detection distance of a tracklet holding ``F`` to a
+    valid detection one frame later at the same place."""
+    box = BBox(0.0, 0.0, 10.0, 20.0)
+    record = ObsRecord(0, box, 1.0, OcclusionStatus.VALID, orientation, vec(0))
+    t = Tracklet(1, 0, TrackingPhase.CONFIRMED, F, [record])
+    det = DetectionObservation(
+        camera_id=0,
+        frame=1,
+        bbox=box,
+        det_confidence=1.0,
+        pose=PoseKeypoints(np.full((17, 3), 0.9)),
+        embedding=embedding,
+        occlusion=OcclusionStatus.VALID,
+        orientation=orientation,
+    )
+    return compute_distance_matrix([t], [det], cfg)[0, 0]
+
+
+def absorbing_index(before: ClusterSet, after: ClusterSet) -> int:
+    """The index of the cluster whose member count grew."""
+    grown = [
+        k
+        for k, (b, a) in enumerate(zip(before.clusters, after.clusters))
+        if a.member_count != b.member_count
+    ]
+    assert len(grown) == 1
+    return grown[0]
+
+
+def norm_argmin(clusters, feature) -> int:
+    return int(np.argmin([np.linalg.norm(c.center - feature) for c in clusters]))
 
 
 class TestUpdateCluster:
@@ -98,6 +151,52 @@ class TestUpdateCluster:
         assert out.clusters[0].member_count == 2
         assert out.clusters[1].member_count == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_c=st.integers(1, 5),
+        grid=st.booleans(),
+    )
+    def test_absorbing_cluster_matches_norm_argmin(self, seed, n_c, grid):
+        """Oracle: the absorbing cluster is ``np.argmin`` over
+        ``np.linalg.norm`` distances. Small-integer vectors make exact ties
+        frequent."""
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            if grid:
+                return rng.integers(-2, 3, size=8).astype(np.float64)
+            return rng.normal(size=8) * 10
+
+        cs = ClusterSet(tuple(Cluster(draw(), int(rng.integers(1, 4))) for _ in range(n_c)))
+        f = draw()
+        out = update_cluster(cs, f, OcclusionStatus.VALID, n_c)
+        k = norm_argmin(cs.clusters, f)
+        assert absorbing_index(cs, out) == k
+        old = cs.clusters[k]
+        expected = (old.center * old.member_count + f) / (old.member_count + 1)
+        assert np.array_equal(out.clusters[k].center, expected)
+
+    def test_roots_that_round_equal_tie_to_lowest_index(self):
+        """Two centers whose squared distances differ by rounding but whose
+        distances round to the same double: the tie goes to index 0 even
+        though index 1 has the smaller square."""
+        rng = np.random.default_rng(26)
+        f = vec(0)
+        checked = 0
+        while checked < 20:
+            far = vec(*rng.uniform(1.0, 10.0, 2))
+            near = far.copy()
+            near[1] = np.nextafter(near[1], -np.inf)
+            sq_far, sq_near = far.dot(far), near.dot(near)
+            if not (sq_near < sq_far and math.sqrt(sq_near) == math.sqrt(sq_far)):
+                continue
+            cs = ClusterSet((Cluster(far, 1), Cluster(near, 1)))
+            out = update_cluster(cs, f, OcclusionStatus.VALID, 2)
+            assert norm_argmin(cs.clusters, f) == 0
+            assert absorbing_index(cs, out) == 0
+            checked += 1
+
 
 class TestUpdateOnMatch:
     def test_fresh_feature_from_valid_detection(self):
@@ -133,6 +232,19 @@ class TestUpdateOnMatch:
         assert np.allclose(F.orientation_bank.slot(Orientation.BACK).mean, (u + v) / 2)
         assert np.array_equal(F.current, v)
 
+    def test_later_writes_to_the_detection_do_not_reach_the_feature(self):
+        valid = FakeDet(vec(2, 1), OcclusionStatus.VALID, Orientation.LEFT, frame=1)
+        invalid = FakeDet(vec(4), OcclusionStatus.INVALID, frame=2)
+        F = update_on_match(FusedTrackingFeature(), valid, CFG)
+        F = update_on_match(F, invalid, CFG)
+        valid.embedding[:] = 99.0
+        invalid.embedding[:] = 99.0
+        assert np.array_equal(F.current, vec(2, 1))
+        assert np.array_equal(F.avg.mean, vec(2, 1))
+        assert np.array_equal(F.orientation_bank.slot(Orientation.LEFT).mean, vec(2, 1))
+        assert np.array_equal(F.cluster_set.clusters[0].center, vec(2, 1))
+        assert np.array_equal(F.invalid.feature, vec(4))
+
     def test_valid_match_clears_invalid_slot(self):
         F = FusedTrackingFeature(invalid=InvalidSlot(vec(1), 5))
         F = update_on_match(F, FakeDet(vec(2), OcclusionStatus.VALID, frame=6), CFG)
@@ -156,17 +268,23 @@ class TestExpireInvalid:
 class TestDistances:
     def test_orientation_to_det_same_mean(self):
         bank = OrientationBank().fold(Orientation.RIGHT, vec(3))
-        det = FakeDet(vec(3), OcclusionStatus.VALID, Orientation.RIGHT)
-        assert dist_orientation_to_det(bank, det) == 0.0
+        F = FusedTrackingFeature(orientation_bank=bank)
+        assert det_distance(F, vec(3), Orientation.RIGHT, ORIENTATION_ONLY) == 0.0
 
     def test_orientation_to_det_empty_slot_forbidden(self):
-        det = FakeDet(vec(3), OcclusionStatus.VALID, Orientation.RIGHT)
-        assert dist_orientation_to_det(OrientationBank(), det) == FORBIDDEN
+        # Only the other orientations' slots are filled.
+        bank = OrientationBank()
+        for o in (Orientation.FRONT, Orientation.BACK, Orientation.LEFT):
+            bank = bank.fold(o, vec(3))
+        F = FusedTrackingFeature(orientation_bank=bank)
+        assert det_distance(F, vec(3), Orientation.RIGHT, ORIENTATION_ONLY) == FORBIDDEN
 
     def test_orientation_to_det_distance(self):
         bank = OrientationBank().fold(Orientation.FRONT, vec(1, 0))
-        det = FakeDet(vec(0, 1), OcclusionStatus.VALID, Orientation.FRONT)
-        assert dist_orientation_to_det(bank, det) == pytest.approx(np.sqrt(2))
+        F = FusedTrackingFeature(orientation_bank=bank)
+        got = det_distance(F, vec(0, 1), Orientation.FRONT, ORIENTATION_ONLY)
+        assert got == float(np.linalg.norm(vec(1, 0) - vec(0, 1)))
+        assert got == pytest.approx(np.sqrt(2))
 
     def test_banks_identical(self):
         bank = OrientationBank().fold(Orientation.FRONT, vec(1)).fold(
@@ -208,10 +326,13 @@ class TestDistances:
 
     def test_cluster_to_det(self):
         cs = ClusterSet((Cluster(vec(6), 1), Cluster(vec(2), 1), Cluster(vec(9), 1)))
-        assert dist_cluster_to_det(cs, vec(0)) == pytest.approx(2.0)
-        assert dist_cluster_to_det(ClusterSet(), vec(0)) == FORBIDDEN
+        got = det_distance(FusedTrackingFeature(cluster_set=cs), vec(0), cfg=CLUSTER_ONLY)
+        assert got == 2.0
+        empty = FusedTrackingFeature(cluster_set=ClusterSet())
+        assert det_distance(empty, vec(0), cfg=CLUSTER_ONLY) == FORBIDDEN
         one = ClusterSet((Cluster(vec(4), 1),))
-        assert dist_cluster_to_det(one, vec(4)) == 0.0
+        F = FusedTrackingFeature(cluster_set=one)
+        assert det_distance(F, vec(4), cfg=CLUSTER_ONLY) == 0.0
 
 
 class TestPairDistance:

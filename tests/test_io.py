@@ -81,6 +81,31 @@ class TestDetectionFile:
         with pytest.raises(ParseError, match="line 1"):
             parse_detections(path)
 
+    @pytest.mark.parametrize(
+        "field,index",
+        [("conf", None), ("keypoints", 0), ("keypoints", 1), ("keypoints", 2), ("bbox", 2)],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_names_line(self, tmp_path, field, index, value):
+        good = {
+            "camera": 0,
+            "frame": 1,
+            "bbox": [0, 0, 10, 10],
+            "conf": 0.9,
+            "keypoints": [0.5] * 51,
+            "embedding": [0.0] * 128,
+        }
+        bad = json.loads(json.dumps(good))
+        if index is None:
+            bad[field] = value
+        else:
+            bad[field][index] = value
+        path = tmp_path / "bad.jsonl"
+        # json writes NaN and Infinity, and reads them back.
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_detections(path)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"camera": 0}\nnot json\n')
@@ -127,6 +152,17 @@ class TestTrackRowFile:
             rows, key=lambda r: r.sort_key()
         )
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_box_names_line(self, tmp_path, text):
+        path = tmp_path / "tracks.csv"
+        path.write_text(f"0,1,1,0,0,5,5\n0,2,1,0,{text},5,5\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_track_rows(path)
+        mot = tmp_path / "cam0.txt"
+        mot.write_text(f"1,1,0,0,5,5,1,-1,-1,-1\n2,1,{text},0,5,5,1,-1,-1,-1\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_track_rows(mot, camera_id=0)
+
     def test_mot_rows_need_camera(self, tmp_path):
         path = tmp_path / "cam0.txt"
         write_track_rows(path, [TrackRow(0, 1, 1, BBox(0, 0, 5, 5))])
@@ -166,6 +202,15 @@ class TestConfigFile:
         path = tmp_path / "cfg.txt"
         path.write_text("theta_mct = fast\n")
         with pytest.raises(ParseError, match="non-numeric"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["v_max", "mu_m", "use_cluster_feature"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, key, raw):
+        # One float, one int and one boolean field.
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"mu_d = 200\n{key} = {raw}\n")
+        with pytest.raises(ParseError, match="line 2"):
             load_config(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):

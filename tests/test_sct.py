@@ -1,7 +1,9 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtmctrack.core import (
     BBox,
@@ -11,8 +13,16 @@ from mtmctrack.core import (
     Orientation,
     PoseKeypoints,
     TrackerConfig,
+    center_distance,
 )
-from mtmctrack.features import replay_feature
+from mtmctrack.features import (
+    Cluster,
+    ClusterSet,
+    FusedTrackingFeature,
+    InvalidSlot,
+    OrientationBank,
+    replay_feature,
+)
 from mtmctrack.sct import (
     CameraTrackerState,
     ObsRecord,
@@ -26,7 +36,6 @@ from mtmctrack.sct import (
     physical_constraints_ok,
     rectify,
     run_sct,
-    spatial_gate,
     step_frame,
 )
 
@@ -84,18 +93,184 @@ def tracklet_from_dets(tid, dets, cfg=CFG, phase=TrackingPhase.CONFIRMED):
     )
 
 
+def gate_passes(t, d, cfg=CFG):
+    return bool(np.isfinite(compute_distance_matrix([t], [d], cfg)[0, 0]))
+
+
 class TestSpatialGate:
     def test_identical_centers(self):
         t = tracklet_from_dets(1, [det(0, x=100, y=100)])
-        assert spatial_gate(t, det(1, x=100, y=100), CFG)
+        assert gate_passes(t, det(1, x=100, y=100))
 
     def test_too_fast_for_one_frame(self):
         t = tracklet_from_dets(1, [det(0, x=100, y=100)])
-        assert not spatial_gate(t, det(1, x=121, y=100), CFG)
+        assert not gate_passes(t, det(1, x=121, y=100))
 
     def test_reachable_over_three_frames(self):
         t = tracklet_from_dets(1, [det(0, x=100, y=100)])
-        assert spatial_gate(t, det(3, x=150, y=100), CFG)
+        assert gate_passes(t, det(3, x=150, y=100))
+
+    def test_boundary_is_inclusive(self):
+        # A 12-16-20 triangle: exactly v_max pixels in one frame.
+        t = tracklet_from_dets(1, [det(0, x=100, y=100)])
+        assert gate_passes(t, det(1, x=112, y=116))
+        assert not gate_passes(t, det(1, x=112, y=np.nextafter(116.0, np.inf)))
+
+    def test_detection_not_after_tracklet_rejected(self):
+        t = tracklet_from_dets(1, [det(0), det(1)])
+        with pytest.raises(ValueError):
+            compute_distance_matrix([t], [det(1)], CFG)
+
+
+def reference_matrix(tracklets, dets, cfg):
+    """The tracklet-detection matrix from per-channel ``np.linalg.norm``
+    distances and the per-pair spatial gate, pair by pair."""
+    m = np.full((len(tracklets), len(dets)), FORBIDDEN)
+    for i, t in enumerate(tracklets):
+        F = t.fused
+        for j, d in enumerate(dets):
+            gap = d.frame - t.end_frame
+            if not center_distance(t.last_bbox, d.bbox) <= cfg.v_max * gap:
+                continue
+            channels = []
+            if F.current is not None:
+                channels.append(F.current)
+            if cfg.use_orientation_feature:
+                slot = F.orientation_bank.slot(d.orientation)
+                if slot is not None:
+                    channels.append(slot.mean)
+            if cfg.use_cluster_feature:
+                channels.extend(c.center for c in F.cluster_set.clusters)
+            if (
+                cfg.use_invalid_feature
+                and F.invalid is not None
+                and d.occlusion is OcclusionStatus.INVALID
+            ):
+                channels.append(F.invalid.feature)
+            m[i, j] = min(
+                (float(np.linalg.norm(c - d.embedding)) for c in channels),
+                default=FORBIDDEN,
+            )
+    return m
+
+
+def random_scene(rng, cfg, grid):
+    """Random tracklets and one frame of detections.
+
+    Always present: a tracklet that saw only invalid detections (no current
+    feature, empty orientation slots and cluster set), an invalid detection,
+    and detections exactly on and just past the gate boundary of tracklet 0.
+    Small-integer embeddings (``grid``) make equal distances frequent.
+    """
+
+    def embedding():
+        if grid:
+            return rng.integers(-2, 3, size=8).astype(np.float64)
+        return rng.normal(size=8) * 10
+
+    def center():
+        return float(rng.integers(0, 200)), float(rng.integers(0, 200))
+
+    tracklets = []
+    for tid in range(int(rng.integers(1, 6))):
+        end = int(rng.integers(0, 4))
+        x, y = center()
+        history = []
+        for k in range(int(rng.integers(1, 7))):
+            valid = tid != 0 and rng.random() < 0.7
+            history.append(
+                det(
+                    end - k,
+                    x=x,
+                    y=y,
+                    emb=embedding(),
+                    valid=valid,
+                    orientation=list(Orientation)[rng.integers(0, 4)],
+                )
+            )
+        tracklets.append(tracklet_from_dets(tid + 1, history[::-1], cfg=cfg))
+    tracklets[0], tracklets[-1] = tracklets[-1], tracklets[0]
+    frame = max(t.end_frame for t in tracklets) + int(rng.integers(1, 3))
+
+    def detection(x, y, valid=None):
+        return det(
+            frame,
+            x=x,
+            y=y,
+            emb=embedding(),
+            valid=rng.random() < 0.6 if valid is None else valid,
+            orientation=list(Orientation)[rng.integers(0, 4)],
+        )
+
+    # 12-16-20 triangles put a center exactly v_max * gap away.
+    t0 = tracklets[0]
+    gap = frame - t0.end_frame
+    cx, cy = t0.last_bbox.center
+    step = cfg.v_max * gap / 20.0
+    dets = [
+        detection(cx + 12.0 * step, cy - 16.0 * step),
+        detection(cx - 16.0 * step, np.nextafter(cy + 12.0 * step, np.inf)),
+        detection(*center(), valid=False),
+    ]
+    for _ in range(int(rng.integers(0, 6))):
+        t = tracklets[int(rng.integers(0, len(tracklets)))]
+        tx, ty = t.last_bbox.center
+        reach = cfg.v_max * (frame - t.end_frame)
+        dx, dy = rng.uniform(-reach, reach, size=2)
+        dets.append(detection(tx + dx, ty + dy))
+    order = rng.permutation(len(dets))
+    return tracklets, [dets[k] for k in order]
+
+
+class TestDistanceMatrixOracle:
+    @pytest.mark.parametrize(
+        "orientation,cluster,invalid", list(itertools.product([False, True], repeat=3))
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.booleans())
+    def test_bit_identical_to_per_channel_norms(
+        self, orientation, cluster, invalid, seed, grid
+    ):
+        cfg = TrackerConfig(
+            feature_dim=8,
+            n_c=2,
+            use_orientation_feature=orientation,
+            use_cluster_feature=cluster,
+            use_invalid_feature=invalid,
+        )
+        tracklets, dets = random_scene(np.random.default_rng(seed), cfg, grid)
+        got = compute_distance_matrix(tracklets, dets, cfg)
+        assert np.array_equal(got, reference_matrix(tracklets, dets, cfg))
+
+    def test_hand_built_features(self):
+        """Feature states replay cannot produce: a current feature with an
+        invalid slot but no cluster set, and clusters without a current."""
+        t = tracklet_from_dets(1, [det(0, emb=vec(1.0))])
+        odd = [
+            FusedTrackingFeature(current=vec(3.0), invalid=InvalidSlot(vec(0.5), 0)),
+            FusedTrackingFeature(
+                cluster_set=ClusterSet((Cluster(vec(2.0), 1), Cluster(vec(-1.0), 3)))
+            ),
+            FusedTrackingFeature(
+                orientation_bank=OrientationBank().fold(Orientation.LEFT, vec(0.25))
+            ),
+        ]
+        tracklets = [copy.copy(t) for _ in odd]
+        for tr, F in zip(tracklets, odd):
+            tr.fused = F
+        dets = [
+            det(1, emb=vec(0.0), valid=False, orientation=Orientation.LEFT),
+            det(1, emb=vec(0.0), orientation=Orientation.FRONT),
+        ]
+        for flags in itertools.product([False, True], repeat=3):
+            cfg = TrackerConfig(
+                feature_dim=8,
+                use_orientation_feature=flags[0],
+                use_cluster_feature=flags[1],
+                use_invalid_feature=flags[2],
+            )
+            got = compute_distance_matrix(tracklets, dets, cfg)
+            assert np.array_equal(got, reference_matrix(tracklets, dets, cfg))
 
 
 class TestDistanceMatrix:
