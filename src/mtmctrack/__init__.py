@@ -4,7 +4,6 @@ from .core import (
     BBox,
     DetectionObservation,
     FORBIDDEN,
-    Keypoint,
     OcclusionStatus,
     Orientation,
     PoseKeypoints,
@@ -27,7 +26,6 @@ __all__ = [
     "DetectionObservation",
     "FORBIDDEN",
     "FusedTrackingFeature",
-    "Keypoint",
     "OcclusionStatus",
     "Orientation",
     "PoseKeypoints",

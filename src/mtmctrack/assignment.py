@@ -28,7 +28,8 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
 
     Forbidden entries are never matched; rows and columns that end up
     without a feasible partner land in the unmatched lists. The result is
-    a deterministic function of the input.
+    a deterministic function of the input. Raises ValueError when the
+    feasible costs sum so high that adding 1 is lost (possible from 2**53).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -48,7 +49,13 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
     # Surrogate cost for forbidden entries: strictly larger than the sum of
     # all feasible entries, so the solver first maximizes the number of
     # feasible pairs and only then minimizes their cost.
-    surrogate = float(m[feasible].sum()) + 1.0
+    total = float(m[feasible].sum())
+    surrogate = total + 1.0
+    if not surrogate > total:  # also catches an overflow to inf
+        raise ValueError(
+            f"feasible costs sum to {total!r}; forbidden entries need that sum "
+            "plus 1 to be finite and larger, which holds below 2**53"
+        )
     cost = np.where(feasible, m, surrogate)
     row_idx, col_idx = linear_sum_assignment(cost)
 

@@ -10,8 +10,8 @@ from pathlib import Path
 from .core import TrackerConfig
 from .fileio import (
     ParseError,
-    RunManifest,
     config_as_text,
+    find_track_files,
     load_config,
     parse_detections,
     parse_track_rows,
@@ -39,18 +39,16 @@ def _estimator_from_arg(value: str) -> OrientationEstimator:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, config=True, orientation=True):
+def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", required=True, type=Path, help="output directory")
-    if config:
-        parser.add_argument("--config", type=Path, default=None, help="tracker config file")
-    if orientation:
-        parser.add_argument(
-            "--orientation",
-            type=_estimator_from_arg,
-            default=OrientationEstimator(),
-            metavar="{geometric|mlp:<weightfile>}",
-            help="orientation classifier to use (default: geometric)",
-        )
+    parser.add_argument("--config", type=Path, default=None, help="tracker config file")
+    parser.add_argument(
+        "--orientation",
+        type=_estimator_from_arg,
+        default=OrientationEstimator(),
+        metavar="{geometric|mlp:<weightfile>}",
+        help="orientation classifier to use (default: geometric)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_pred_rows(path: Path):
     if path.is_dir():
         rows = []
-        files = sorted(path.glob("cam*.txt"))
-        if not files:
-            raise FileNotFoundError(f"no cam*.txt files in {path}")
-        for f in files:
-            cam = int(f.stem[3:])
+        for cam, f in find_track_files(path).items():
             rows.extend(parse_track_rows(f, camera_id=cam))
         return rows
     return parse_track_rows(path)
@@ -145,32 +139,15 @@ def main(argv=None) -> int:
             det_path, gt_path = run_synth_stage(spec, args.out)
             logger.info("wrote %s and %s", det_path, gt_path)
         elif args.command == "sct":
-            RunManifest(
-                input_paths=[args.dets],
-                config_path=args.config,
-                output_dir=args.out,
-                mode="offline" if args.offline else "online",
-                cameras=[],
-            ).validate()
             cfg = load_config(args.config)
             _log_config(cfg)
             dets = parse_detections(args.dets, cfg.feature_dim)
             run_sct_stage(dets, cfg, args.out, args.offline, args.orientation)
         elif args.command == "mct":
-            files = sorted(args.tracks.glob("cam*.txt"))
-            if not files:
-                raise FileNotFoundError(f"no cam*.txt files in {args.tracks}")
-            RunManifest(
-                input_paths=[args.dets] + files,
-                config_path=args.config,
-                output_dir=args.out,
-                mode="offline",
-                cameras=[int(f.stem[3:]) for f in files],
-            ).validate()
+            track_files = find_track_files(args.tracks)
             cfg = load_config(args.config)
             _log_config(cfg)
             dets = parse_detections(args.dets, cfg.feature_dim)
-            track_files = {int(f.stem[3:]): f for f in files}
             run_mct_stage(track_files, dets, cfg, args.out, args.orientation)
         elif args.command == "eval":
             gt_rows = parse_track_rows(args.gt)

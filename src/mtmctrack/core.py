@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -73,19 +73,6 @@ def as_feature(values, dim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One pose keypoint in pixel coordinates with detector confidence."""
-
-    x: float
-    y: float
-    confidence: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"keypoint confidence {self.confidence} outside [0, 1]")
-
-
 class PoseKeypoints:
     """The 17 COCO keypoints of one detection, stored as a (17, 3) array
     of [x, y, confidence] rows."""
@@ -103,18 +90,6 @@ class PoseKeypoints:
         if not ((conf >= 0.0) & (conf <= 1.0)).all():
             raise ValueError("keypoint confidences must lie in [0, 1]")
         self.xyc = arr
-
-    @classmethod
-    def from_points(cls, points: Sequence[Keypoint]) -> "PoseKeypoints":
-        return cls([[p.x, p.y, p.confidence] for p in points])
-
-    @property
-    def points(self) -> tuple[Keypoint, ...]:
-        return tuple(Keypoint(x, y, c) for x, y, c in self.xyc)
-
-    def point(self, index: int) -> Keypoint:
-        x, y, c = self.xyc[index]
-        return Keypoint(x, y, c)
 
     @property
     def confidences(self) -> np.ndarray:

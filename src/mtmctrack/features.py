@@ -58,10 +58,6 @@ class ClusterSet:
     def __len__(self):
         return len(self.clusters)
 
-    @property
-    def centers(self) -> list[np.ndarray]:
-        return [c.center for c in self.clusters]
-
 
 @dataclass(frozen=True)
 class OrientationBank:
@@ -71,9 +67,6 @@ class OrientationBank:
 
     def slot(self, orientation: Orientation) -> Optional[MeanSlot]:
         return self.slots[orientation.value]
-
-    def present(self) -> list[Orientation]:
-        return [o for o in Orientation if self.slots[o.value] is not None]
 
     def fold(self, orientation: Orientation, feature: np.ndarray) -> "OrientationBank":
         slots = list(self.slots)
@@ -203,32 +196,26 @@ def dist_cluster_sets(a: ClusterSet, b: ClusterSet) -> float:
     )
 
 
-RECTIFY = "rectify"
-CLUSTER = "cluster"
-
-
-def tracklet_pair_distance(
-    a: FusedTrackingFeature,
-    b: FusedTrackingFeature,
-    mode: str,
-    cfg: TrackerConfig,
+def rectify_distance(
+    a: FusedTrackingFeature, b: FusedTrackingFeature, cfg: TrackerConfig
 ) -> float:
-    """Appearance distance between two tracklets.
+    """Appearance distance for rectifying: the cluster-set distance, or the
+    forbidden sentinel when the cluster channel is off or a set is empty."""
+    if not cfg.use_cluster_feature:
+        return FORBIDDEN
+    return dist_cluster_sets(a.cluster_set, b.cluster_set)
 
-    Rectify mode compares cluster sets; cluster mode takes the smaller of
-    the averaged-feature distance and the orientation-bank distance. Absent
-    parts contribute the forbidden sentinel.
-    """
-    if mode == RECTIFY:
-        if not cfg.use_cluster_feature:
-            return FORBIDDEN
-        return dist_cluster_sets(a.cluster_set, b.cluster_set)
-    if mode == CLUSTER:
-        d_avg = FORBIDDEN
-        if a.avg is not None and b.avg is not None:
-            d_avg = euclidean_distance(a.avg.mean, b.avg.mean)
-        d_ori = FORBIDDEN
-        if cfg.use_orientation_feature:
-            d_ori = dist_orientation_banks(a.orientation_bank, b.orientation_bank)
-        return min(d_avg, d_ori)
-    raise ValueError(f"unknown mode {mode!r}")
+
+def cluster_distance(
+    a: FusedTrackingFeature, b: FusedTrackingFeature, cfg: TrackerConfig
+) -> float:
+    """Appearance distance for clustering and cross-camera linking: the
+    smaller of the averaged-feature and orientation-bank distances. Absent
+    parts contribute the forbidden sentinel."""
+    d_avg = FORBIDDEN
+    if a.avg is not None and b.avg is not None:
+        d_avg = euclidean_distance(a.avg.mean, b.avg.mean)
+    d_ori = FORBIDDEN
+    if cfg.use_orientation_feature:
+        d_ori = dist_orientation_banks(a.orientation_bank, b.orientation_bank)
+    return min(d_avg, d_ori)

@@ -1,11 +1,12 @@
 """File formats and configuration parsing.
 
 Detections travel as JSON lines (one object per detection: camera, frame,
-bbox, conf, 51 keypoint floats, embedding). Track rows are CSV: the
-per-camera flavor is MOT-shaped ("frame,id,x,y,w,h,1,-1,-1,-1"), the
-multi-camera flavor prefixes a camera column. All floats are serialized
-with full round-trip precision and every writer goes through a temp file
-renamed on success, so a failed run never leaves partial output.
+bbox, conf, 51 keypoint floats, embedding). Track rows are CSV: camera N's
+rows are MOT-shaped ("frame,id,x,y,w,h,1,-1,-1,-1") in ``cam<N>.txt``, the
+multi-camera flavor prefixes a camera column. A metric report is written as
+``report.json`` and ``report.txt``. All floats are serialized with full
+round-trip precision and every writer goes through a temp file renamed on
+success, so a failed run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -43,6 +44,29 @@ def _atomic_write(path: PathLike, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="ascii")
     os.replace(tmp, path)
+
+
+def track_file_name(camera_id: int) -> str:
+    """File name of one camera's MOT-shaped track rows."""
+    return f"cam{camera_id}.txt"
+
+
+def find_track_files(directory: PathLike) -> dict[int, Path]:
+    """The ``cam<N>.txt`` files of a directory, keyed by camera, in path
+    order. Raises FileNotFoundError when there are none."""
+    files = sorted(Path(directory).glob("cam*.txt"))
+    if not files:
+        raise FileNotFoundError(f"no cam*.txt files in {directory}")
+    return {int(f.stem[3:]): f for f in files}
+
+
+def write_report(out_dir: PathLike, report: dict) -> None:
+    """Write ``report.json`` and its ``key: value`` lines as ``report.txt``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
+    lines = [f"{key:>6}: {value}" for key, value in report.items()]
+    _atomic_write(out_dir / "report.txt", "\n".join(lines) + "\n")
 
 
 def write_detections(path: PathLike, dets: Iterable[DetectionObservation]) -> None:
@@ -210,7 +234,7 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     """Flat "key = value" config; unknown keys are rejected to catch typos.
 
     Missing keys keep their defaults; a missing path means all defaults.
-    Boolean switches take 0/1.
+    Boolean switches take exactly 0 or 1.
     """
     if path is None:
         return TrackerConfig()
@@ -239,7 +263,11 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
                     f"{path}: line {lineno}: {key} must be finite, got {raw!r}"
                 )
             if key in _BOOL_FIELDS:
-                values[key] = bool(int(number))
+                if number not in (0.0, 1.0):
+                    raise ParseError(
+                        f"{path}: line {lineno}: {key} must be 0 or 1, got {raw!r}"
+                    )
+                values[key] = number == 1.0
             elif key in _INT_FIELDS:
                 if number != int(number):
                     raise ParseError(
@@ -260,24 +288,3 @@ def config_as_text(cfg: TrackerConfig) -> str:
             v = int(v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """What a run consumed and produced; inputs must exist up front."""
-
-    input_paths: list[Path]
-    config_path: Optional[Path]
-    output_dir: Path
-    mode: str  # "online" or "offline"
-    cameras: list[int]
-    seed: Optional[int] = None
-
-    def validate(self) -> None:
-        missing = [str(p) for p in self.input_paths if not Path(p).exists()]
-        if self.config_path is not None and not Path(self.config_path).exists():
-            missing.append(str(self.config_path))
-        if missing:
-            raise FileNotFoundError("missing inputs: " + ", ".join(missing))
-        if self.mode not in ("online", "offline"):
-            raise ValueError(f"unknown mode {self.mode!r}")

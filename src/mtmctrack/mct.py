@@ -21,8 +21,8 @@ from .core import (
     TrackerConfig,
     forbidden_matrix,
 )
-from .features import CLUSTER, FusedTrackingFeature, replay_feature, tracklet_pair_distance
-from .sct import CameraTrackerState, ObsRecord, physical_constraints_ok
+from .features import FusedTrackingFeature, cluster_distance, replay_feature
+from .sct import ObsRecord, physical_constraints_ok
 
 logger = logging.getLogger(__name__)
 
@@ -106,28 +106,8 @@ class Trajectory:
         ]
 
 
-def trajectories_from_states(
-    states: dict[int, CameraTrackerState], cfg: TrackerConfig
-) -> list[Trajectory]:
-    """One trajectory per emitted tracklet, across all cameras."""
-    trajs = []
-    for cam in sorted(states):
-        state = states[cam]
-        for t in sorted(state.tracklets + state.finished, key=lambda t: t.id):
-            if not t.ever_confirmed:
-                continue
-            trajs.append(
-                Trajectory(
-                    global_id=0,
-                    segments=[TrajectorySegment(cam, t.id, list(t.observations))],
-                    fused=t.fused,
-                )
-            )
-    _assign_global_ids(trajs)
-    return trajs
-
-
-def _assign_global_ids(trajs: list[Trajectory]) -> None:
+def assign_global_ids(trajs: list[Trajectory]) -> None:
+    """Number trajectories from 1 in order of first frame, camera, source id."""
     order = sorted(
         range(len(trajs)),
         key=lambda i: (
@@ -145,7 +125,7 @@ def _pair_distance(a: Trajectory, b: Trajectory, cfg: TrackerConfig) -> float:
         return FORBIDDEN
     if not physical_constraints_ok(a, b, cfg, check_velocity=cfg.mct_velocity_gate):
         return FORBIDDEN
-    return tracklet_pair_distance(a.fused, b.fused, CLUSTER, cfg)
+    return cluster_distance(a.fused, b.fused, cfg)
 
 
 def build_mct_matrix(trajs: list[Trajectory], cfg: TrackerConfig) -> np.ndarray:
@@ -200,7 +180,7 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
         m[i, i] = FORBIDDEN
         logger.debug("linked trajectory %d into %d", src.global_id, dst.global_id)
     merged = [t for k, t in enumerate(trajs) if alive[k]]
-    _assign_global_ids(merged)
+    assign_global_ids(merged)
     return merged
 
 

@@ -7,7 +7,6 @@ with the same seed and config produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Optional
@@ -17,21 +16,18 @@ from .evaluation import clear_metrics, id_measures
 from .fileio import (
     parse_detections,
     parse_track_rows,
+    track_file_name,
     write_detections,
+    write_report,
     write_track_rows,
-    _atomic_write,
 )
-from .mct import Trajectory, TrajectorySegment, _assign_global_ids, run_mct
+from .mct import Trajectory, TrajectorySegment, assign_global_ids, run_mct
 from .features import replay_feature
 from .sct import ObsRecord, run_sct
 from .state_estimation import OrientationEstimator, populate_state
 from .synth import ScenarioSpec, generate_scenario, scenario_presets
 
 logger = logging.getLogger(__name__)
-
-
-def sct_output_name(camera_id: int) -> str:
-    return f"cam{camera_id}.txt"
 
 
 def run_synth_stage(spec: ScenarioSpec, out_dir: Path) -> tuple[Path, Path]:
@@ -72,7 +68,7 @@ def run_sct_stage(
             offline=offline,
             orientation_estimator=estimator,
         )
-        path = out_dir / sct_output_name(cam)
+        path = out_dir / track_file_name(cam)
         write_track_rows(path, rows, include_camera=False)
         outputs[cam] = path
         logger.info(
@@ -125,7 +121,7 @@ def trajectories_from_rows(
                 fused=replay_feature(obs, cfg),
             )
         )
-    _assign_global_ids(trajs)
+    assign_global_ids(trajs)
     return trajs
 
 
@@ -175,10 +171,7 @@ def run_eval_stage(
         "fn": clear.fn,
     }
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
-        lines = [f"{key:>6}: {value}" for key, value in report.items()]
-        _atomic_write(out_dir / "report.txt", "\n".join(lines) + "\n")
+        write_report(out_dir, report)
     logger.info(
         "eval: IDF1=%.4f IDP=%.4f IDR=%.4f MOTA=%.4f IDS=%d",
         report["idf1"],

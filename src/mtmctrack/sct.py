@@ -33,12 +33,11 @@ from .core import (
     squared_distance,
 )
 from .features import (
-    CLUSTER,
     FusedTrackingFeature,
-    RECTIFY,
+    cluster_distance,
     expire_invalid,
+    rectify_distance,
     replay_feature,
-    tracklet_pair_distance,
     update_on_match,
 )
 from .state_estimation import OrientationEstimator, populate_state
@@ -91,7 +90,6 @@ class Tracklet:
     observations: list[ObsRecord]
     miss_count: int = 0
     ever_confirmed: bool = False
-    absorbed_ids: list[int] = field(default_factory=list)
 
     @property
     def start_frame(self) -> int:
@@ -305,7 +303,6 @@ def _merge_tracklets(dst: Tracklet, src: Tracklet, cfg: TrackerConfig) -> None:
     dst.fused = replay_feature(merged, cfg)
     dst.miss_count = later.miss_count
     dst.ever_confirmed = dst.ever_confirmed or src.ever_confirmed
-    dst.absorbed_ids.extend([src.id] + src.absorbed_ids)
 
 
 def rectify(state: CameraTrackerState) -> CameraTrackerState:
@@ -329,7 +326,7 @@ def rectify(state: CameraTrackerState) -> CameraTrackerState:
     for i, ti in enumerate(invisibles):
         for j, tj in enumerate(confirmeds):
             if physical_constraints_ok(ti, tj, cfg):
-                m[i, j] = tracklet_pair_distance(ti.fused, tj.fused, RECTIFY, cfg)
+                m[i, j] = rectify_distance(ti.fused, tj.fused, cfg)
     for i, j in greedy_associate(m, cfg.theta_rectify):
         dst, src = invisibles[i], confirmeds[j]
         _merge_tracklets(dst, src, cfg)
@@ -359,9 +356,7 @@ def cluster_tracklets(state: CameraTrackerState) -> tuple[CameraTrackerState, li
     for i in range(n):
         for j in range(i + 1, n):
             if physical_constraints_ok(live[i], live[j], cfg):
-                m[i, j] = tracklet_pair_distance(
-                    live[i].fused, live[j].fused, CLUSTER, cfg
-                )
+                m[i, j] = cluster_distance(live[i].fused, live[j].fused, cfg)
     rep = list(range(n))
 
     def find(idx: int) -> int:

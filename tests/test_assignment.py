@@ -136,6 +136,22 @@ class TestHungarian:
         with pytest.raises(ValueError, match="NaN"):
             hungarian(np.array([[FORBIDDEN, nan]]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # The feasible sum overflows to inf.
+            [[1e308, FORBIDDEN], [1e308, FORBIDDEN]],
+            # The feasible sum is 2**54, where adding 1 is lost, although
+            # the two-pair matching (0, 1), (1, 0) is feasible.
+            [[0.0, 2.0**53], [2.0**53, FORBIDDEN]],
+        ],
+        ids=["sum_overflows", "plus_one_lost"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rejects_costs_it_cannot_rank(self, matrix):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            hungarian(np.array(matrix))
+
     def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):
         rng = np.random.default_rng(37)
         for _ in range(100):

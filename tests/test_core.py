@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mtmctrack.core import (
     BBox,
-    Keypoint,
     PoseKeypoints,
     TrackerConfig,
     center_distance,
@@ -118,25 +117,11 @@ class TestTypes:
     def test_center_distance(self):
         assert center_distance(BBox(0, 0, 10, 10), BBox(30, 40, 10, 10)) == 50.0
 
-    def test_keypoint_confidence_range(self):
-        Keypoint(1, 2, 0.5)
-        with pytest.raises(ValueError):
-            Keypoint(1, 2, 1.5)
-
     def test_pose_requires_17_points(self):
         with pytest.raises(ValueError):
             PoseKeypoints(np.zeros((16, 3)))
         pose = PoseKeypoints(np.zeros((17, 3)))
-        assert len(pose.points) == 17
-        assert pose.point(5) == Keypoint(0, 0, 0)
-
-    def test_pose_round_trip_points(self):
-        rng = np.random.default_rng(5)
-        xyc = np.column_stack(
-            [rng.uniform(0, 100, 17), rng.uniform(0, 100, 17), rng.uniform(0, 1, 17)]
-        )
-        pose = PoseKeypoints(xyc)
-        assert PoseKeypoints.from_points(pose.points) == pose
+        assert pose.xyc.shape == (17, 3)
 
     def test_config_defaults(self):
         cfg = TrackerConfig()

@@ -14,19 +14,18 @@ from mtmctrack.core import (
     TrackerConfig,
 )
 from mtmctrack.features import (
-    CLUSTER,
     Cluster,
     ClusterSet,
     FusedTrackingFeature,
     InvalidSlot,
     MeanSlot,
     OrientationBank,
-    RECTIFY,
+    cluster_distance,
     dist_cluster_sets,
     dist_orientation_banks,
     expire_invalid,
+    rectify_distance,
     replay_feature,
-    tracklet_pair_distance,
     update_cluster,
     update_on_match,
 )
@@ -340,8 +339,8 @@ class TestPairDistance:
         F = update_on_match(
             FusedTrackingFeature(), FakeDet(vec(1), OcclusionStatus.VALID), CFG
         )
-        assert tracklet_pair_distance(F, F, RECTIFY, CFG) == 0.0
-        assert tracklet_pair_distance(F, F, CLUSTER, CFG) == 0.0
+        assert rectify_distance(F, F, CFG) == 0.0
+        assert cluster_distance(F, F, CFG) == 0.0
 
     def test_cluster_mode_takes_minimum(self):
         a = FusedTrackingFeature(
@@ -352,14 +351,14 @@ class TestPairDistance:
             avg=MeanSlot(vec(8), 1),
             orientation_bank=OrientationBank().fold(Orientation.FRONT, vec(3)),
         )
-        assert tracklet_pair_distance(a, b, CLUSTER, CFG) == pytest.approx(3.0)
+        assert cluster_distance(a, b, CFG) == pytest.approx(3.0)
 
     def test_rectify_mode_empty_clusters_forbidden(self):
         a = FusedTrackingFeature()
         b = update_on_match(
             FusedTrackingFeature(), FakeDet(vec(1), OcclusionStatus.VALID), CFG
         )
-        assert tracklet_pair_distance(a, b, RECTIFY, CFG) == FORBIDDEN
+        assert rectify_distance(a, b, CFG) == FORBIDDEN
 
     def test_cluster_mode_absent_avg_uses_orientation(self):
         a = FusedTrackingFeature(
@@ -369,13 +368,11 @@ class TestPairDistance:
             avg=MeanSlot(vec(0), 3),
             orientation_bank=OrientationBank().fold(Orientation.LEFT, vec(2)),
         )
-        assert tracklet_pair_distance(a, b, CLUSTER, CFG) == pytest.approx(1.0)
+        assert cluster_distance(a, b, CFG) == pytest.approx(1.0)
 
     def test_both_absent_forbidden(self):
         assert (
-            tracklet_pair_distance(
-                FusedTrackingFeature(), FusedTrackingFeature(), CLUSTER, CFG
-            )
+            cluster_distance(FusedTrackingFeature(), FusedTrackingFeature(), CFG)
             == FORBIDDEN
         )
 

@@ -7,7 +7,6 @@ from mtmctrack.cli import main
 from mtmctrack.core import BBox, TrackRow, TrackerConfig
 from mtmctrack.fileio import (
     ParseError,
-    RunManifest,
     config_as_text,
     load_config,
     parse_detections,
@@ -213,6 +212,13 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="line 2"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw", ["0.5", "2", "-1"])
+    def test_switch_other_than_zero_or_one_names_line(self, tmp_path, raw):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"mu_d = 200\nuse_cluster_feature = {raw}\n")
+        with pytest.raises(ParseError, match="line 2.*must be 0 or 1"):
+            load_config(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# tuning\n\nmu_m = 12\nuse_invalid_feature = 0\n")
@@ -225,28 +231,6 @@ class TestConfigFile:
         path = tmp_path / "cfg.txt"
         path.write_text(config_as_text(cfg))
         assert load_config(path) == cfg
-
-
-class TestManifest:
-    def test_missing_input_rejected(self, tmp_path):
-        manifest = RunManifest(
-            input_paths=[tmp_path / "absent.jsonl"],
-            config_path=None,
-            output_dir=tmp_path,
-            mode="offline",
-            cameras=[0],
-        )
-        with pytest.raises(FileNotFoundError):
-            manifest.validate()
-
-    def test_valid_manifest(self, tmp_path):
-        p = tmp_path / "dets.jsonl"
-        p.write_text("")
-        RunManifest([p], None, tmp_path, "online", [0]).validate()
-
-    def test_bad_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            RunManifest([], None, tmp_path, "batch", [0]).validate()
 
 
 class TestCli:
@@ -269,11 +253,27 @@ class TestCli:
             main(["synth", "--preset", "easy_single_cam", "--frobs", "3"])
         assert exc.value.code == 2
 
-    def test_missing_input_returns_error(self, tmp_path):
-        code = main(
-            ["sct", "--dets", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path)]
-        )
-        assert code == 1
+    @pytest.mark.parametrize(
+        "case", ["sct_dets", "sct_config", "mct_dets", "mct_no_track_files"]
+    )
+    def test_missing_input_returns_error(self, tmp_path, sample_detections, case):
+        dets = tmp_path / "dets.jsonl"
+        write_detections(dets, sample_detections)
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        if case != "mct_no_track_files":
+            write_track_rows(tracks / "cam0.txt", [], include_camera=False)
+        absent = str(tmp_path / "absent")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "sct_dets": ["sct", "--dets", absent],
+            "sct_config": ["sct", "--dets", str(dets), "--config", absent],
+            "mct_dets": ["mct", "--tracks", str(tracks), "--dets", absent],
+            "mct_no_track_files": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
+        }[case]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert list(out.rglob("*")) == []
 
     def test_synth_then_sct_then_eval(self, tmp_path):
         out = tmp_path / "run"

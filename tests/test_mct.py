@@ -216,10 +216,10 @@ class TestTrajectoryValidation:
 
 class TestStateAndFilePathsAgree:
     def test_in_process_and_file_driven_mct_match(self, tmp_path):
-        """Trajectories built from live tracker states and trajectories
-        rebuilt from written row files produce the same global tracks."""
+        """Every tracklet a live tracker state emitted comes back from the
+        written rows as one single-segment trajectory with the same camera,
+        source id, frames, boxes and embeddings."""
         from mtmctrack.fileio import parse_detections, write_detections
-        from mtmctrack.mct import run_mct, trajectories_from_states
         from mtmctrack.pipeline import trajectories_from_rows
         from mtmctrack.sct import run_sct
         from mtmctrack.synth import generate_scenario, scenario_presets
@@ -234,18 +234,28 @@ class TestStateAndFilePathsAgree:
         by_cam = {}
         for d in dets:
             by_cam.setdefault(d.camera_id, []).append(d)
-        states = {}
+        emitted = {}
         all_rows = []
         for cam in sorted(by_cam):
             rows, state = run_sct(by_cam[cam], cfg, camera_id=cam, offline=True)
-            states[cam] = state
             all_rows.extend(rows)
+            for t in state.tracklets + state.finished:
+                if t.ever_confirmed:
+                    emitted[(cam, t.id)] = t
 
-        from_states = trajectories_from_states(states, cfg)
         fresh_dets = parse_detections(det_path, cfg.feature_dim)
         from_rows = trajectories_from_rows(all_rows, fresh_dets, cfg)
 
-        assert len(from_states) == len(from_rows)
-        rows_a = run_mct(from_states, cfg)
-        rows_b = run_mct(from_rows, cfg)
-        assert rows_a == rows_b
+        assert all(len(traj.segments) == 1 for traj in from_rows)
+        by_source = {
+            (traj.segments[0].camera_id, traj.segments[0].source_id): traj
+            for traj in from_rows
+        }
+        assert len(by_source) == len(from_rows)
+        assert set(by_source) == set(emitted)
+        for key, t in emitted.items():
+            got = by_source[key].segments[0].observations
+            assert [o.frame for o in got] == [o.frame for o in t.observations]
+            assert [o.bbox for o in got] == [o.bbox for o in t.observations]
+            for o_got, o_live in zip(got, t.observations):
+                assert np.array_equal(o_got.embedding, o_live.embedding)
