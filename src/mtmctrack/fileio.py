@@ -1,12 +1,15 @@
 """File formats and configuration parsing.
 
 Detections travel as JSON lines (one object per detection: camera, frame,
-bbox, conf, 51 keypoint floats, embedding). Track rows are CSV: camera N's
-rows are MOT-shaped ("frame,id,x,y,w,h,1,-1,-1,-1") in ``cam<N>.txt``, the
-multi-camera flavor prefixes a camera column. A metric report is written as
-``report.json`` and ``report.txt``. All floats are serialized with full
-round-trip precision and every writer goes through a temp file renamed on
-success, so a failed run never leaves partial output.
+bbox, conf, 51 keypoint floats, embedding). They are written with the
+standard ``json`` module and read back with ``orjson``, whose float
+decoding is correctly rounded, so every value parses to the same double
+``json.loads`` gives. Track rows are CSV: camera N's rows are MOT-shaped
+("frame,id,x,y,w,h,1,-1,-1,-1") in ``cam<N>.txt``, the multi-camera flavor
+prefixes a camera column. A metric report is written as ``report.json`` and
+``report.txt``. All floats are serialized with full round-trip precision
+and every writer goes through a temp file renamed on success, so a failed
+run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
+import orjson
 
 from .core import (
     BBox,
@@ -53,11 +57,22 @@ def track_file_name(camera_id: int) -> str:
 
 def find_track_files(directory: PathLike) -> dict[int, Path]:
     """The ``cam<N>.txt`` files of a directory, keyed by camera, in path
-    order. Raises FileNotFoundError when there are none."""
+    order. Raises FileNotFoundError when there are none, and ParseError for
+    a name whose N is not a decimal number or for two names of one camera
+    (``cam1.txt`` and ``cam01.txt``)."""
     files = sorted(Path(directory).glob("cam*.txt"))
     if not files:
         raise FileNotFoundError(f"no cam*.txt files in {directory}")
-    return {int(f.stem[3:]): f for f in files}
+    found: dict[int, Path] = {}
+    for f in files:
+        digits = f.stem[3:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{f}: track file name must be cam<N>.txt, N a number")
+        cam = int(digits)
+        if cam in found:
+            raise ParseError(f"{found[cam]} and {f} both name camera {cam}")
+        found[cam] = f
+    return found
 
 
 def write_report(out_dir: PathLike, report: dict) -> None:
@@ -88,18 +103,21 @@ def write_detections(path: PathLike, dets: Iterable[DetectionObservation]) -> No
 def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionObservation]:
     """Read a detection file; records are sorted by (camera, frame) stably.
 
-    Occlusion and orientation are left unset: they are derived state, not
-    detector output.
+    Each line must be ASCII JSON without ``NaN``/``Infinity`` tokens, with
+    integer ``camera`` and ``frame``. Occlusion and orientation are left
+    unset: they are derived state, not detector output.
     """
     dets = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                raise ParseError(f"{path}: line {lineno}: non-ASCII bytes")
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             try:
                 keypoints = record["keypoints"]
@@ -119,10 +137,19 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
                     raise ParseError(
                         f"{path}: line {lineno}: conf must be finite, got {conf}"
                     )
+                camera, frame = record["camera"], record["frame"]
+                for key, value in (("camera", camera), ("frame", frame)):
+                    # bool is an int subclass; a float here may be a rounded
+                    # integer too large for 64 bits.
+                    if type(value) is not int:
+                        raise ParseError(
+                            f"{path}: line {lineno}: {key} must be an integer, "
+                            f"got {value!r}"
+                        )
                 dets.append(
                     DetectionObservation(
-                        camera_id=int(record["camera"]),
-                        frame=int(record["frame"]),
+                        camera_id=camera,
+                        frame=frame,
                         bbox=BBox(*[float(v) for v in bbox]),
                         det_confidence=conf,
                         pose=PoseKeypoints(

@@ -1,13 +1,23 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mtmctrack.cli import main
-from mtmctrack.core import BBox, TrackRow, TrackerConfig
+from mtmctrack.core import (
+    BBox,
+    DetectionObservation,
+    NUM_KEYPOINTS,
+    PoseKeypoints,
+    TrackRow,
+    TrackerConfig,
+)
 from mtmctrack.fileio import (
     ParseError,
     config_as_text,
+    find_track_files,
     load_config,
     parse_detections,
     parse_track_rows,
@@ -22,6 +32,49 @@ def sample_detections():
     spec = scenario_presets()["easy_single_cam"]
     data = generate_scenario(spec)
     return data.detections[:50]
+
+
+GOOD_RECORD = {
+    "camera": 0,
+    "frame": 1,
+    "bbox": [0, 0, 10, 10],
+    "conf": 0.9,
+    "keypoints": [0.5] * 51,
+    "embedding": [0.0] * 128,
+}
+
+# Values at the edges of float64 that a decoder can get wrong.
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),
+)
+unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
+extent = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([5e-324, 1.7976931348623157e308]),
+)
+FEATURE_DIM = 4
+
+
+@st.composite
+def detections(draw):
+    keypoints = [
+        [draw(finite), draw(finite), draw(unit)] for _ in range(NUM_KEYPOINTS)
+    ]
+    return DetectionObservation(
+        camera_id=draw(st.integers(0, 3)),
+        frame=draw(st.integers(0, 2**40)),
+        bbox=BBox(draw(finite), draw(finite), draw(extent), draw(extent)),
+        det_confidence=draw(finite),
+        pose=PoseKeypoints(keypoints),
+        embedding=np.array([draw(finite) for _ in range(FEATURE_DIM)]),
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestDetectionFile:
@@ -109,6 +162,90 @@ class TestDetectionFile:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"camera": 0}\nnot json\n')
         with pytest.raises(ParseError, match="line 1"):
+            parse_detections(path)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(detections(), max_size=6))
+    def test_round_trip_property_bit_exact(self, tmp_path, dets):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, dets)
+        parsed = parse_detections(path, FEATURE_DIM)
+        expected = sorted(dets, key=lambda d: (d.camera_id, d.frame))
+        assert len(parsed) == len(expected)
+        for want, got in zip(expected, parsed):
+            assert (got.camera_id, got.frame) == (want.camera_id, want.frame)
+            assert np.array_equal(
+                bits(dataclasses.astuple(got.bbox)), bits(dataclasses.astuple(want.bbox))
+            )
+            assert bits(got.det_confidence) == bits(want.det_confidence)
+            assert np.array_equal(bits(got.pose.xyc), bits(want.pose.xyc))
+            assert np.array_equal(bits(got.embedding), bits(want.embedding))
+
+    def test_long_decimal_strings_parse_as_json_does(self, tmp_path):
+        # Digit strings longer than a double's 17 significant digits, and
+        # classic hard cases for correct rounding (halfway points, the
+        # smallest normal, the largest finite), must round as json does.
+        rng = np.random.default_rng(2024)
+        texts = [
+            "2.2250738585072011e-308",
+            "2.2250738585072012e-308",
+            "4.9406564584124654e-324",
+            "2.4703282292062328e-324",
+            "1.7976931348623157e308",
+            "1.7976931348623158e308",
+            "9007199254740993",
+            "9007199254740993.0000000000000001",
+            "0.1000000000000000055511151231257827",
+            "1.00000000000000011102230246251565404236316680908203125",
+            "-0.0",
+        ]
+        for _ in range(128 * 40 - len(texts)):
+            digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(17, 26)))))
+            sign = "-" if rng.random() < 0.5 else ""
+            texts.append(f"{sign}{digits[0]}.{digits[1:]}e{int(rng.integers(-320, 300))}")
+        lines = []
+        for i in range(0, len(texts), 128):
+            record = dict(GOOD_RECORD, frame=i)
+            line = json.dumps(record).replace(
+                json.dumps(record["embedding"])[1:-1], ", ".join(texts[i : i + 128])
+            )
+            lines.append(line)
+        path = tmp_path / "long.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        parsed = parse_detections(path)
+        assert len(parsed) == len(lines)
+        for det, line in zip(parsed, lines):
+            reference = json.loads(line)["embedding"]
+            assert np.array_equal(bits(det.embedding), bits(reference))
+
+    def test_non_finite_token_is_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(dict(GOOD_RECORD, conf=float("nan"))) + "\n")
+        with pytest.raises(ParseError, match="line 1: invalid JSON"):
+            parse_detections(path)
+
+    @pytest.mark.parametrize("key", ["camera", "frame"])
+    @pytest.mark.parametrize("value", ["1.5", "3.0", "true", '"3"', str(2**64)])
+    def test_camera_and_frame_must_be_integers(self, tmp_path, key, value):
+        good = json.dumps(GOOD_RECORD)
+        bad = good.replace(f'"{key}": {GOOD_RECORD[key]}', f'"{key}": {value}')
+        assert bad != good
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ParseError, match=f"line 2: {key} must be an integer"):
+            parse_detections(path)
+
+    def test_non_ascii_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        bad = json.dumps(GOOD_RECORD).replace('"conf"', '"conf", "note": "\u00e9"', 1)
+        path.write_bytes(
+            (json.dumps(GOOD_RECORD) + "\n").encode() + bad.encode("utf-8") + b"\n"
+        )
+        with pytest.raises(ParseError, match="line 2: non-ASCII"):
             parse_detections(path)
 
 
@@ -274,6 +411,37 @@ class TestCli:
         }[case]
         assert main(argv + ["--out", str(out)]) == 1
         assert list(out.rglob("*")) == []
+
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["cam1.txt", "cam01.txt"], "cam01.txt and .*cam1.txt both name camera 1"),
+            (["camX.txt"], "camX.txt: track file name must be cam<N>.txt"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["mct", "eval"])
+    def test_ambiguous_track_file_names_return_error(
+        self, tmp_path, sample_detections, names, message, command, caplog
+    ):
+        dets = tmp_path / "dets.jsonl"
+        write_detections(dets, sample_detections)
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        for name in names:
+            write_track_rows(tracks / name, [TrackRow(1, 1, 1, BBox(0, 0, 5, 5))])
+        with pytest.raises(ParseError, match=message):
+            find_track_files(tracks)
+        gt = tmp_path / "gt.csv"
+        write_track_rows(gt, [TrackRow(1, 1, 1, BBox(0, 0, 5, 5))], include_camera=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "mct": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
+            "eval": ["eval", "--gt", str(gt), "--pred", str(tracks)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert list(out.rglob("*")) == []
+        assert all(str(tracks / name) in caplog.text for name in names)
 
     def test_synth_then_sct_then_eval(self, tmp_path):
         out = tmp_path / "run"

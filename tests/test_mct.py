@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,37 @@ class TestStateAndFilePathsAgree:
             assert [o.bbox for o in got] == [o.bbox for o in t.observations]
             for o_got, o_live in zip(got, t.observations):
                 assert np.array_equal(o_got.embedding, o_live.embedding)
+
+
+def feature_leaves(x):
+    """Every array (as raw bytes) and scalar of a fused feature, in order."""
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple(feature_leaves(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(feature_leaves(v) for v in x)
+    return x
+
+
+class TestMergedFeature:
+    def test_linked_trajectory_feature_equals_replay_of_union(self):
+        """A and B (cameras 0 and 1) link, C (camera 2) is too far to; the
+        merged trajectory's feature must equal replaying A's and B's
+        observations together."""
+
+        def records(frames, base):
+            return [obs(f, emb=vec(base + 0.01 * f, 0.3 * (f % 3))) for f in frames]
+
+        a_obs = records(range(0, 8), 5.0)
+        b_obs = records(range(12, 20), 5.1)
+        c_obs = records(range(25, 33), 60.0)
+        trajs = [
+            Trajectory(gid, [TrajectorySegment(cam, gid, o)], replay_feature(o, CFG))
+            for gid, cam, o in ((1, 0, a_obs), (2, 1, b_obs), (3, 2, c_obs))
+        ]
+        out = associate_mct(trajs, CFG)
+        assert len(out) == 2
+        merged = next(t for t in out if t.cameras == {0, 1})
+        expected = replay_feature(a_obs + b_obs, CFG)
+        assert feature_leaves(merged.fused) == feature_leaves(expected)

@@ -1,11 +1,16 @@
 """Structure of the package: modules share only public names."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import mtmctrack
 
 PACKAGE = Path(mtmctrack.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_private_imports_between_modules():
@@ -23,3 +28,24 @@ def test_no_private_imports_between_modules():
 
 def test_every_exported_name_resolves():
     assert [name for name in mtmctrack.__all__ if not hasattr(mtmctrack, name)] == []
+
+
+def test_third_party_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    # Each import name here equals its distribution's name.
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+        for req in tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+            "dependencies"
+        ]
+    }
+    imported = set()
+    for path in sorted((ROOT / "src" / "mtmctrack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "mtmctrack"}
+    assert third_party, "no third-party import found; is the source tree readable?"
+    assert sorted(third_party - declared) == []
