@@ -8,7 +8,7 @@ plain values: safe to copy between threads, no hidden mutability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -22,23 +22,12 @@ FORBIDDEN = float("inf")
 NUM_KEYPOINTS = 17
 
 # COCO keypoint indices used by the state estimator.
-NOSE = 0
-LEFT_EYE = 1
-RIGHT_EYE = 2
 LEFT_EAR = 3
 RIGHT_EAR = 4
 LEFT_SHOULDER = 5
 RIGHT_SHOULDER = 6
-LEFT_ELBOW = 7
-RIGHT_ELBOW = 8
-LEFT_WRIST = 9
-RIGHT_WRIST = 10
 LEFT_HIP = 11
 RIGHT_HIP = 12
-LEFT_KNEE = 13
-RIGHT_KNEE = 14
-LEFT_ANKLE = 15
-RIGHT_ANKLE = 16
 
 
 class Orientation(Enum):
@@ -210,10 +199,6 @@ class TrackerConfig:
             raise ValueError(f"theta_valid must be < {NUM_KEYPOINTS}")
         if not (math.isfinite(self.n_c) and self.n_c >= 1):
             raise ValueError("n_c must be >= 1")
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 def squared_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,16 +5,21 @@ ground-truth identity is paired with at most one predicted identity so that
 the total of misses and false positives is minimal, then IDP/IDR/IDF1 are
 read off the matched frame counts. The CLEAR pass matches boxes frame by
 frame with a carry-over preference and counts FP/FN/identity switches.
+
+Both metrics read one join on (camera, frame), which owns the row contract
+(one row per identity per camera and frame) and the co-location rule (IoU
+at or above the threshold).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import hungarian
-from .core import BBox, FORBIDDEN, TrackRow, iou
+from .core import FORBIDDEN, TrackRow, iou
 
 
 @dataclass(frozen=True)
@@ -40,39 +45,41 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 1.0
 
 
-def _index_rows(rows: list[TrackRow]):
-    """identity -> {(camera, frame): bbox}; duplicate (camera, frame) per
-    identity violates the row contract."""
-    by_id: dict[int, dict[tuple[int, int], BBox]] = {}
-    for r in rows:
-        frames = by_id.setdefault(r.identity, {})
-        key = (r.camera_id, r.frame)
-        if key in frames:
-            raise ValueError(
-                f"duplicate row for identity {r.identity} at camera "
-                f"{key[0]} frame {key[1]}"
-            )
-        frames[key] = r.bbox
-    return by_id
+def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
+    """The (camera, frame) join that both metrics read.
 
-
-def _overlap_counts(gt_tracks, pred_tracks, iou_threshold):
-    """matches[(g, p)] = number of (camera, frame) where the two co-locate."""
-    counts: dict[tuple[int, int], int] = {}
-    for g, g_frames in gt_tracks.items():
-        for p, p_frames in pred_tracks.items():
-            n = 0
-            if len(g_frames) <= len(p_frames):
-                small, large = g_frames, p_frames
-            else:
-                small, large = p_frames, g_frames
-            for key, box in small.items():
-                other = large.get(key)
-                if other is not None and iou(box, other) >= iou_threshold:
-                    n += 1
-            if n:
-                counts[(g, p)] = n
-    return counts
+    Yields, in key order, each (camera, frame) with its truth rows and its
+    predicted rows, each sorted by identity, and the ``(i, j, iou)`` of
+    every pair whose boxes co-locate: IoU at or above the threshold. Two
+    rows of one identity in one (camera, frame), on either side, violate
+    the row contract.
+    """
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError("iou_threshold must lie in (0, 1)")
+    gt_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
+    pred_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
+    for by_key, rows in ((gt_by_key, gt), (pred_by_key, pred)):
+        for r in rows:
+            key = (r.camera_id, r.frame)
+            by_id = by_key.setdefault(key, {})
+            if r.identity in by_id:
+                raise ValueError(
+                    f"duplicate row for identity {r.identity} at camera "
+                    f"{key[0]} frame {key[1]}"
+                )
+            by_id[r.identity] = r
+    for key in sorted(gt_by_key.keys() | pred_by_key.keys()):
+        g_by_id = gt_by_key.get(key, {})
+        p_by_id = pred_by_key.get(key, {})
+        g_rows = [g_by_id[i] for i in sorted(g_by_id)]
+        p_rows = [p_by_id[i] for i in sorted(p_by_id)]
+        pairs = []
+        for i, gr in enumerate(g_rows):
+            for j, pr in enumerate(p_rows):
+                overlap = iou(gr.bbox, pr.bbox)
+                if overlap >= iou_threshold:
+                    pairs.append((i, j, overlap))
+        yield key, g_rows, p_rows, pairs
 
 
 def id_measures(
@@ -86,34 +93,33 @@ def id_measures(
     charge a fully unmatched identity. The minimal-cost pairing is found
     with the Hungarian solver.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError("iou_threshold must lie in (0, 1)")
-    gt_tracks = _index_rows(gt)
-    pred_tracks = _index_rows(pred)
-    gt_ids = sorted(gt_tracks)
-    pred_ids = sorted(pred_tracks)
+    # counts[(g, p)] = number of (camera, frame) where the two co-locate.
+    counts: Counter[tuple[int, int]] = Counter()
+    for _, g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold):
+        for i, j, _overlap in pairs:
+            counts[g_rows[i].identity, p_rows[j].identity] += 1
+    gt_len = Counter(r.identity for r in gt)
+    pred_len = Counter(r.identity for r in pred)
+    gt_ids = sorted(gt_len)
+    pred_ids = sorted(pred_len)
     n_g, n_p = len(gt_ids), len(pred_ids)
-    total_gt = sum(len(v) for v in gt_tracks.values())
-    total_pred = sum(len(v) for v in pred_tracks.values())
+    total_gt = len(gt)
+    total_pred = len(pred)
 
     if n_g == 0 and n_p == 0:
         return IdMeasureReport(0, 0, 0, 1.0, 1.0, 1.0)
-
-    counts = _overlap_counts(gt_tracks, pred_tracks, iou_threshold)
 
     size = n_g + n_p
     cost = np.full((size, size), FORBIDDEN)
     for gi, g in enumerate(gt_ids):
         for pi, p in enumerate(pred_ids):
             overlap = counts.get((g, p), 0)
-            cost[gi, pi] = (
-                len(gt_tracks[g]) + len(pred_tracks[p]) - 2 * overlap
-            )
+            cost[gi, pi] = gt_len[g] + pred_len[p] - 2 * overlap
         # Dummy column: this truth identity stays unmatched (all misses).
-        cost[gi, n_p + gi] = len(gt_tracks[g])
+        cost[gi, n_p + gi] = gt_len[g]
     for pi, p in enumerate(pred_ids):
         # Dummy row: this predicted identity stays unmatched (all FPs).
-        cost[n_g + pi, pi] = len(pred_tracks[p])
+        cost[n_g + pi, pi] = pred_len[p]
     cost[n_g:, n_p:] = 0.0
 
     result = hungarian(cost)
@@ -144,23 +150,11 @@ def clear_metrics(
     a matched truth box whose predicted identity differs from that truth
     identity's previous pairing in the same camera.
     """
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError("iou_threshold must lie in (0, 1)")
-    gt_by_key: dict[tuple[int, int], list[TrackRow]] = {}
-    for r in gt:
-        gt_by_key.setdefault((r.camera_id, r.frame), []).append(r)
-    pred_by_key: dict[tuple[int, int], list[TrackRow]] = {}
-    for r in pred:
-        pred_by_key.setdefault((r.camera_id, r.frame), []).append(r)
-
     total_gt = len(gt)
     fp = fn = ids = 0
     last_pair: dict[tuple[int, int], int] = {}  # (camera, gt id) -> pred id
 
-    for key in sorted(set(gt_by_key) | set(pred_by_key)):
-        cam = key[0]
-        g_rows = sorted(gt_by_key.get(key, []), key=lambda r: r.identity)
-        p_rows = sorted(pred_by_key.get(key, []), key=lambda r: r.identity)
+    for (cam, _), g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold):
         if not g_rows:
             fp += len(p_rows)
             continue
@@ -170,15 +164,10 @@ def clear_metrics(
         # Any single continuation outweighs every possible IoU saving.
         penalty = 2.0 * (len(g_rows) + len(p_rows)) + 10.0
         cost = np.full((len(g_rows), len(p_rows)), FORBIDDEN)
-        for i, gr in enumerate(g_rows):
-            continued = last_pair.get((cam, gr.identity))
-            for j, pr in enumerate(p_rows):
-                overlap = iou(gr.bbox, pr.bbox)
-                if overlap < iou_threshold:
-                    continue
-                cost[i, j] = 1.0 - overlap
-                if continued != pr.identity:
-                    cost[i, j] += penalty
+        for i, j, overlap in pairs:
+            cost[i, j] = 1.0 - overlap
+            if last_pair.get((cam, g_rows[i].identity)) != p_rows[j].identity:
+                cost[i, j] += penalty
         result = hungarian(cost)
         fn += len(result.unmatched_rows)
         fp += len(result.unmatched_cols)

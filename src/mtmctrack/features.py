@@ -165,13 +165,12 @@ def replay_feature(observations, cfg: TrackerConfig) -> FusedTrackingFeature:
 
     This is the reference composition for merged tracklets: the online
     clustering is order-dependent, so replay is the only well-defined way
-    to combine histories.
+    to combine histories. The last fold leaves the invalid slot empty or at
+    the latest frame, so the result never holds a stale one.
     """
     F = FusedTrackingFeature()
     for obs in sorted(observations, key=lambda o: o.frame):
         F = update_on_match(F, obs, cfg)
-    if observations:
-        F = expire_invalid(F, max(o.frame for o in observations))
     return F
 
 

@@ -235,28 +235,6 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
     return rows
 
 
-_BOOL_FIELDS = frozenset(
-    {
-        "use_orientation_feature",
-        "use_cluster_feature",
-        "use_invalid_feature",
-        "mct_velocity_gate",
-    }
-)
-_INT_FIELDS = frozenset(
-    {
-        "theta_valid",
-        "mu_m",
-        "mu_d",
-        "k_interval",
-        "n_c",
-        "l_rectify",
-        "max_gap",
-        "feature_dim",
-    }
-)
-
-
 def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     """Flat "key = value" config; unknown keys are rejected to catch typos.
 
@@ -265,7 +243,9 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     """
     if path is None:
         return TrackerConfig()
-    known = set(TrackerConfig.field_names())
+    # core postpones its annotations, so each field's type is its name:
+    # "bool", "int" or "float".
+    kinds = {f.name: f.type for f in dataclasses.fields(TrackerConfig)}
     values = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -277,7 +257,7 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
             key, _, raw = stripped.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in known:
+            if key not in kinds:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
             try:
                 number = float(raw)
@@ -289,13 +269,13 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
                 raise ParseError(
                     f"{path}: line {lineno}: {key} must be finite, got {raw!r}"
                 )
-            if key in _BOOL_FIELDS:
+            if kinds[key] == "bool":
                 if number not in (0.0, 1.0):
                     raise ParseError(
                         f"{path}: line {lineno}: {key} must be 0 or 1, got {raw!r}"
                     )
                 values[key] = number == 1.0
-            elif key in _INT_FIELDS:
+            elif kinds[key] == "int":
                 if number != int(number):
                     raise ParseError(
                         f"{path}: line {lineno}: {key} must be an integer"

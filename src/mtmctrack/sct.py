@@ -433,7 +433,6 @@ def _process_one_frame(
         t, det = state.tracklets[i], dets[j]
         t.append_observation(det)
         t.fused = update_on_match(t.fused, det, cfg)
-        t.fused = expire_invalid(t.fused, frame)
         phase_on_match(t, det.occlusion)
 
     for i in result.unmatched_rows:

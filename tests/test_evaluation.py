@@ -47,6 +47,44 @@ def exhaustive_id_measures(gt, pred, thr=0.5):
     return best, idfp, idfn, (2 * best / denom if denom else 1.0)
 
 
+def exhaustive_clear(gt, pred, thr=0.5):
+    """CLEAR by enumeration: in each (camera, frame), in key order, try
+    every matching of gated pairs and keep the lexicographic best: most
+    pairs, then fewest pairs that do not continue their truth identity's
+    previous pairing in that camera, then least total 1 - IoU."""
+    by_key = {}
+    for side, rows in enumerate((gt, pred)):
+        for r in rows:
+            by_key.setdefault((r.camera_id, r.frame), ([], []))[side].append(r)
+    fp = fn = ids = 0
+    last_pair = {}
+    for (cam, _), (g_rows, p_rows) in sorted(by_key.items()):
+
+        def matchings(i, used):
+            if i == len(g_rows):
+                yield []
+                return
+            yield from matchings(i + 1, used)
+            for j, pr in enumerate(p_rows):
+                if j not in used and iou(g_rows[i].bbox, pr.bbox) >= thr:
+                    for rest in matchings(i + 1, used | {j}):
+                        yield [(g_rows[i], pr)] + rest
+
+        def rank(m):
+            fresh = sum(last_pair.get((cam, g.identity)) != p.identity for g, p in m)
+            return (-len(m), fresh, sum(1.0 - iou(g.bbox, p.bbox) for g, p in m))
+
+        best = min(matchings(0, frozenset()), key=rank)
+        fn += len(g_rows) - len(best)
+        fp += len(p_rows) - len(best)
+        for g, p in best:
+            prev = last_pair.get((cam, g.identity))
+            ids += prev is not None and prev != p.identity
+            last_pair[(cam, g.identity)] = p.identity
+    mota = 1.0 - (fn + fp + ids) / len(gt)
+    return fp, fn, ids, mota
+
+
 class TestIdMeasures:
     def test_perfect_prediction(self):
         gt = track(1, range(10)) + track(2, range(10), y=50)
@@ -205,3 +243,33 @@ class TestClearMetrics:
         report = clear_metrics([], [])
         assert report.mota == 1.0
         assert report.ids == 0
+
+    def test_matches_exhaustive_oracle_on_random_instances(self):
+        # Continuous offsets: no two IoUs tie, so the best matching is unique.
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            gt, pred = [], []
+            for cam in range(int(rng.integers(1, 3))):
+                for f in range(int(rng.integers(1, 9))):
+                    g_ids = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+                    anchors = []
+                    for g in g_ids:
+                        x, y = 7.0 * g + rng.uniform(-2, 2), rng.uniform(-2, 2)
+                        gt.append(row(f, int(g) + 1, x=x, y=y, cam=cam))
+                        anchors.append((x, y))
+                    p_ids = rng.choice(5, size=int(rng.integers(1, 5)), replace=False)
+                    for p in p_ids:
+                        x, y = anchors[int(rng.integers(len(anchors)))]
+                        x, y = x + rng.uniform(-3, 3), y + rng.uniform(-3, 3)
+                        pred.append(row(f, int(p) + 1, x=x, y=y, cam=cam))
+            report = clear_metrics(gt, pred)
+            fp, fn, ids, mota = exhaustive_clear(gt, pred)
+            assert (report.fp, report.fn, report.ids) == (fp, fn, ids)
+            assert report.mota == mota
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    def test_duplicate_rows_rejected(self, side):
+        rows = [row(0, 1), row(1, 1), row(1, 1, x=3.0)]
+        gt, pred = (rows, track(1, range(2))) if side == "gt" else (track(1, range(2)), rows)
+        with pytest.raises(ValueError, match="duplicate row for identity 1 at camera 0 frame 1"):
+            clear_metrics(gt, pred)

@@ -263,6 +263,28 @@ class TestExpireInvalid:
         F = FusedTrackingFeature()
         assert expire_invalid(F, 100) is F
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(list(Orientation)), st.integers(1, 3)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_update_and_replay_leave_nothing_to_expire(self, steps):
+        # Why neither a matched tracklet nor a replayed feature needs an
+        # expiry pass: the last fold leaves the slot empty or at its frame.
+        frame, observations, F = 0, [], FusedTrackingFeature()
+        for k, (valid, orientation, gap) in enumerate(steps):
+            frame += gap
+            status = OcclusionStatus.VALID if valid else OcclusionStatus.INVALID
+            det = FakeDet(vec(float(k)), status, orientation, frame=frame)
+            F = update_on_match(F, det, CFG)
+            assert F.invalid is None or F.invalid.frame == frame
+            observations.append(det)
+        R = replay_feature(observations[::-1], CFG)
+        assert expire_invalid(R, frame) is R
+
 
 class TestDistances:
     def test_orientation_to_det_same_mean(self):

@@ -356,6 +356,41 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="line 2.*must be 0 or 1"):
             load_config(path)
 
+    # The kind of every config field, written out by hand.
+    INT_FIELDS = (
+        "theta_valid", "mu_m", "mu_d", "k_interval",
+        "n_c", "l_rectify", "max_gap", "feature_dim",
+    )
+    SWITCHES = (
+        "use_orientation_feature", "use_cluster_feature",
+        "use_invalid_feature", "mct_velocity_gate",
+    )
+    FLOAT_FIELDS = ("gamma_valid", "theta_rectify", "theta_cluster", "theta_mct", "v_max")
+
+    def test_schema_names_every_field(self):
+        names = [f.name for f in dataclasses.fields(TrackerConfig)]
+        assert sorted(names) == sorted(self.INT_FIELDS + self.SWITCHES + self.FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("key", INT_FIELDS)
+    def test_integer_field_rejects_fraction(self, tmp_path, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = 2.5\n")
+        with pytest.raises(ParseError, match=f"line 1: {key} must be an integer"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", SWITCHES)
+    def test_switch_rejects_two(self, tmp_path, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = 2\n")
+        with pytest.raises(ParseError, match=f"line 1: {key} must be 0 or 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", FLOAT_FIELDS)
+    def test_float_field_accepts_fraction(self, tmp_path, key):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = 2.5\n")
+        assert getattr(load_config(path), key) == 2.5
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# tuning\n\nmu_m = 12\nuse_invalid_feature = 0\n")

@@ -3,6 +3,7 @@
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,32 @@ def test_third_party_imports_are_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "mtmctrack"}
     assert third_party, "no third-party import found; is the source tree readable?"
     assert sorted(third_party - declared) == []
+
+
+def test_every_top_level_name_is_used():
+    # A name counts as used when its word appears anywhere besides its own
+    # definition: the benchmark's tracer names the layers it wraps in strings.
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+    unused = []
+    for path in sorted((ROOT / "src" / "mtmctrack").glob("*.py")):
+        for node in ast.parse(sources[path], filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                ]
+            else:
+                continue
+            unused += [
+                f"{path.name}: {name}"
+                for name in names
+                if words[name] <= 1 and name not in mtmctrack.__all__
+            ]
+    assert unused == []
