@@ -11,6 +11,7 @@ from .core import (
     TrackerConfig,
     euclidean_distance,
     iou,
+    iou_matrix,
 )
 from .features import FusedTrackingFeature
 from .sct import CameraTrackerState, Tracklet, TrackingPhase, run_sct
@@ -41,6 +42,7 @@ __all__ = [
     "generate_scenario",
     "id_measures",
     "iou",
+    "iou_matrix",
     "run_mct",
     "run_sct",
     "scenario_presets",

@@ -2,12 +2,14 @@
 
 Everything downstream (state estimation, feature fusion, association,
 evaluation) is written against the types in this module. All types are
-plain values: safe to copy between threads, no hidden mutability.
+plain values: safe to copy between threads, no hidden mutability. Box
+overlap has one implementation, ``iou_matrix``; ``iou`` is its 1 x 1 case.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -146,6 +148,12 @@ class DetectionObservation:
     occlusion: Optional[OcclusionStatus] = None
     orientation: Optional[Orientation] = None
 
+    def __post_init__(self):
+        c = self.det_confidence
+        # bool is a real number to Python, not a confidence.
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
+            raise ValueError(f"det_confidence must be a finite number, got {c!r}")
+
 
 @dataclass
 class TrackerConfig:
@@ -230,19 +238,38 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(squared_distance(a.ravel(), b.ravel()))
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection-over-union of every box of ``a`` with every box of
+    ``b``: the one IoU of the package.
+
+    ``a`` is an (n, 4) and ``b`` an (m, 4) float64 array of ``(x, y, w, h)``
+    rows with positive extents; the result is (n, m). Each entry is the
+    scalar formula's double bit for bit: edges by max/min, extents clamped
+    at 0, ``inter = iw * ih``, ``union = w*h + w*h - inter``, then
+    ``inter / union`` with a union <= 0 read as 0. Only elementwise IEEE
+    operations are used, no reduction. NumPy's maximum/minimum and Python's
+    max/min differ only in which zero a tie of 0.0 and -0.0 returns. With
+    positive extents no right edge and no extent is -0.0, so such a tie can
+    only be between two left edges, and a right edge minus either zero is
+    the same double.
+    """
+    ax, ay, aw, ah = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
+    bx, by, bw, bh = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    # Boxes near the float range overflow to inf and NaN as the scalar
+    # formula does, silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        iw = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+        ih = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+        inter = iw * ih
+        union = aw * ah + bw * bh - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
+
+
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = max(a.x, b.x)
-    iy = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = max(0.0, ix2 - ix)
-    ih = max(0.0, iy2 - iy)
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    """Intersection-over-union of two boxes, in [0, 1]: the 1 x 1 case of
+    ``iou_matrix``."""
+    boxes = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]], dtype=np.float64)
+    return float(iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
 def forbidden_matrix(rows: int, cols: int) -> np.ndarray:

@@ -8,7 +8,8 @@ frame with a carry-over preference and counts FP/FN/identity switches.
 
 Both metrics read one join on (camera, frame), which owns the row contract
 (one row per identity per camera and frame) and the co-location rule (IoU
-at or above the threshold).
+at or above the threshold). The join scores each (camera, frame) with one
+``core.iou_matrix`` call, the package's one IoU.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian
-from .core import FORBIDDEN, TrackRow, iou
+from .core import FORBIDDEN, TrackRow, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,16 @@ def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
         g_rows = [g_by_id[i] for i in sorted(g_by_id)]
         p_rows = [p_by_id[i] for i in sorted(p_by_id)]
         pairs = []
-        for i, gr in enumerate(g_rows):
-            for j, pr in enumerate(p_rows):
-                overlap = iou(gr.bbox, pr.bbox)
-                if overlap >= iou_threshold:
-                    pairs.append((i, j, overlap))
+        if g_rows and p_rows:
+            overlaps = iou_matrix(_boxes(g_rows), _boxes(p_rows))
+            # Row-major, as a loop over truth then predicted rows visits them.
+            rows, cols = np.nonzero(overlaps >= iou_threshold)
+            pairs = list(zip(rows.tolist(), cols.tolist(), overlaps[rows, cols].tolist()))
         yield key, g_rows, p_rows, pairs
+
+
+def _boxes(rows: list[TrackRow]) -> np.ndarray:
+    return np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in rows], dtype=np.float64)
 
 
 def id_measures(

@@ -160,15 +160,23 @@ def expire_invalid(F: FusedTrackingFeature, current_frame: int) -> FusedTracking
     return F
 
 
-def replay_feature(observations, cfg: TrackerConfig) -> FusedTrackingFeature:
-    """Rebuild a fused feature by folding observations in time order.
+def replay_feature(
+    observations, cfg: TrackerConfig, start: Optional[FusedTrackingFeature] = None
+) -> FusedTrackingFeature:
+    """Rebuild a fused feature by folding observations in time order onto
+    ``start`` (default: the empty feature).
 
     This is the reference composition for merged tracklets: the online
     clustering is order-dependent, so replay is the only well-defined way
     to combine histories. The last fold leaves the invalid slot empty or at
     the latest frame, so the result never holds a stale one.
+
+    Replay is a left fold with no expiry between folds, so when ``start``
+    is the replay of observations that all end before the first of
+    ``observations``, the result is the replay of both lists together, bit
+    for bit. That precondition is the caller's to keep.
     """
-    F = FusedTrackingFeature()
+    F = FusedTrackingFeature() if start is None else start
     for obs in sorted(observations, key=lambda o: o.frame):
         F = update_on_match(F, obs, cfg)
     return F

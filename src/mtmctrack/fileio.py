@@ -37,6 +37,9 @@ from .core import (
 PathLike = Union[str, Path]
 
 KEYPOINT_FLOATS = NUM_KEYPOINTS * 3
+# The Python types a JSON number decodes to; bool, a subclass of int, is not
+# among them.
+JSON_NUMBER = frozenset((int, float))
 
 
 class ParseError(ValueError):
@@ -132,10 +135,14 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
                     raise ParseError(
                         f"{path}: line {lineno}: bbox needs 4 values, got {len(bbox)}"
                     )
-                conf = float(record["conf"])
-                if not math.isfinite(conf):
+                x, y, w, h = bbox
+                conf = record["conf"]
+                # One set of five types per record: a per-value check over the
+                # keypoints and embedding as well costs a tenth of the parse.
+                if not {type(conf), type(x), type(y), type(w), type(h)} <= JSON_NUMBER:
                     raise ParseError(
-                        f"{path}: line {lineno}: conf must be finite, got {conf}"
+                        f"{path}: line {lineno}: conf and bbox must be JSON numbers, "
+                        f"got conf {conf!r}, bbox {bbox!r}"
                     )
                 camera, frame = record["camera"], record["frame"]
                 for key, value in (("camera", camera), ("frame", frame)):
@@ -150,8 +157,8 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
                     DetectionObservation(
                         camera_id=camera,
                         frame=frame,
-                        bbox=BBox(*[float(v) for v in bbox]),
-                        det_confidence=conf,
+                        bbox=BBox(float(x), float(y), float(w), float(h)),
+                        det_confidence=float(conf),
                         pose=PoseKeypoints(
                             np.asarray(keypoints, dtype=np.float64).reshape(
                                 NUM_KEYPOINTS, 3
@@ -190,10 +197,13 @@ def write_track_rows(
 
 def _num(v: float) -> str:
     # Integral values print without a trailing ".0"; everything else keeps
-    # full round-trip precision.
-    if float(v).is_integer():
+    # full round-trip precision. int() would drop the sign of -0.0.
+    v = float(v)
+    if v == 0.0:
+        return "-0" if math.copysign(1.0, v) < 0.0 else "0"
+    if v.is_integer():
         return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[TrackRow]:

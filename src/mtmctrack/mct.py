@@ -1,10 +1,12 @@
 """Cross-camera association of completed single-camera trajectories.
 
 Trajectories are compared with the same appearance distance as tracklet
-clustering and linked greedily. After every merge the merged trajectory's
-fused feature is rebuilt by replay and its row and column of the distance
-matrix are recomputed, including the refreshed camera-overlap and temporal
-gates. In-camera rows are never altered; association only relabels them.
+clustering and linked greedily. Linked trajectories never overlap in time,
+so after every merge the later one's observations are folded onto the
+earlier one's fused feature, which equals replaying their union. The merged
+trajectory's row and column of the distance matrix are then recomputed,
+including the refreshed camera-overlap and temporal gates. In-camera rows
+are never altered; association only relabels them.
 """
 
 from __future__ import annotations
@@ -144,10 +146,12 @@ def build_mct_matrix(trajs: list[Trajectory], cfg: TrackerConfig) -> np.ndarray:
 def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajectory]:
     """Greedily link trajectories across cameras below ``theta_mct``.
 
-    The cheapest pair is merged, its fused feature rebuilt by replaying the
-    union of observations, and its distances to every survivor recomputed
-    before the next pick. Output global ids are reassigned in order of
-    first appearance.
+    Each trajectory's ``fused`` must be the replay of its observations, as
+    ``trajectories_from_rows`` builds it. The cheapest pair is merged, the
+    later trajectory's observations folded onto the earlier one's feature
+    (the replay of the union, as the pair cannot overlap in time), and the
+    merged distances to every survivor recomputed before the next pick.
+    Output global ids are reassigned in order of first appearance.
     """
     trajs = list(trajs)
     n = len(trajs)
@@ -163,12 +167,18 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
         if i > j:
             i, j = j, i
         dst, src = trajs[i], trajs[j]
+        earlier, later = (dst, src) if dst.start_frame < src.start_frame else (src, dst)
+        if later.start_frame <= earlier.end_frame:
+            raise ValueError(
+                f"trajectories {dst.global_id} and {src.global_id} overlap in time"
+            )
+        fused = replay_feature(later.all_observations(), cfg, earlier.fused)
         dst.segments = sorted(
             dst.segments + src.segments, key=lambda s: (s.start_frame, s.camera_id)
         )
         dst.cameras |= src.cameras
         dst._check_no_same_camera_overlap()
-        dst.fused = replay_feature(dst.all_observations(), cfg)
+        dst.fused = fused
         alive[j] = False
         m[j, :] = FORBIDDEN
         m[:, j] = FORBIDDEN

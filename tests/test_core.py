@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from mtmctrack.core import (
     BBox,
+    DetectionObservation,
     PoseKeypoints,
     TrackerConfig,
     center_distance,
     euclidean_distance,
     iou,
+    iou_matrix,
     squared_distance,
 )
 
@@ -104,6 +106,74 @@ class TestIoU:
             assert 0.0 <= iou(a, b) <= 1.0
 
 
+def scalar_iou(a, b):
+    """The IoU formula of two (x, y, w, h) tuples, written out in Python
+    floats: the reference ``iou_matrix`` must match bit for bit."""
+    ix = max(a[0], b[0])
+    iy = max(a[1], b[1])
+    ix2 = min(a[0] + a[2], b[0] + b[2])
+    iy2 = min(a[1] + a[3], b[1] + b[3])
+    iw = max(0.0, ix2 - ix)
+    ih = max(0.0, iy2 - iy)
+    inter = iw * ih
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+# Magnitudes from 1e-300 to 1e300, signed zeros among the coordinates.
+# Extents are positive, as BBox requires; the areas of the largest boxes
+# overflow, which the formula and the matrix must carry alike.
+COORD = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.5, 1.0]),
+)
+EXTENT = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.sampled_from([1e-300, 1e300, 1.0, 10.0]),
+)
+BOX = st.tuples(COORD, COORD, EXTENT, EXTENT)
+
+
+@st.composite
+def box_sets(draw):
+    """Random truth and predicted box lists, the predicted one extended
+    with a box identical to, touching, and disjoint from each of the
+    first truth boxes."""
+    a = draw(st.lists(BOX, max_size=5))
+    b = draw(st.lists(BOX, max_size=5))
+    for x, y, w, h in a[:2]:
+        b.append((x, y, w, h))
+        b.append((x + w, y, draw(EXTENT), h))  # touches the right edge
+        b.append((x, y + h, w, draw(EXTENT)))  # touches the bottom edge
+        b.append((x - 2.0 * w - 1.0, y, w, h))  # left of it, apart
+    return a, draw(st.permutations(b))
+
+
+def as_boxes(boxes):
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+class TestIoUMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(box_sets())
+    def test_bit_identical_to_scalar_formula(self, sets):
+        a, b = sets
+        got = iou_matrix(as_boxes(a), as_boxes(b))
+        want = np.array([scalar_iou(p, q) for p in a for q in b], dtype=np.float64)
+        assert got.shape == (len(a), len(b))
+        assert got.dtype == np.float64
+        assert np.array_equal(got.reshape(-1).view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(BOX, BOX)
+    def test_iou_is_the_one_by_one_case(self, p, q):
+        got = iou(BBox(*p), BBox(*q))
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.float64(scalar_iou(p, q)).view(np.uint64)
+
+
 class TestTypes:
     def test_bbox_rejects_empty_extent(self):
         with pytest.raises(ValueError):
@@ -169,3 +239,29 @@ class TestTypes:
             xyc[4, column] = np.inf
             with pytest.raises(ValueError):
                 PoseKeypoints(xyc)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True, "0.9", None]
+    )
+    def test_detection_rejects_bad_confidence(self, value):
+        with pytest.raises(ValueError, match="det_confidence"):
+            DetectionObservation(
+                camera_id=0,
+                frame=0,
+                bbox=BBox(0.0, 0.0, 10.0, 10.0),
+                det_confidence=value,
+                pose=PoseKeypoints(np.zeros((17, 3))),
+                embedding=np.zeros(4),
+            )
+
+    @pytest.mark.parametrize("value", [0.9, 1, np.float32(0.5), -3.0, 1e300])
+    def test_detection_takes_any_finite_confidence(self, value):
+        det = DetectionObservation(
+            camera_id=0,
+            frame=0,
+            bbox=BBox(0.0, 0.0, 10.0, 10.0),
+            det_confidence=value,
+            pose=PoseKeypoints(np.zeros((17, 3))),
+            embedding=np.zeros(4),
+        )
+        assert det.det_confidence == value

@@ -179,6 +179,15 @@ class TestIdMeasures:
         with pytest.raises(ValueError):
             id_measures(rows, [])
 
+    def test_iou_at_the_threshold_colocates(self):
+        # Intersection 50, union 100 + 50 - 50: IoU exactly 0.5.
+        gt = [row(0, 1)]
+        pred = [row(0, 7, h=5.0)]
+        assert iou(gt[0].bbox, pred[0].bbox) == 0.5
+        assert id_measures(gt, pred).idtp == 1
+        assert clear_metrics(gt, pred) == clear_metrics(gt, gt)
+        assert id_measures(gt, pred, iou_threshold=np.nextafter(0.5, 1.0)).idtp == 0
+
 
 class TestClearMetrics:
     def test_perfect_prediction(self):

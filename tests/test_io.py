@@ -44,7 +44,9 @@ GOOD_RECORD = {
 }
 
 # Values at the edges of float64 that a decoder can get wrong.
-EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+EDGE_FLOATS = [
+    -0.0, 5e-324, -5e-324, 1e300, 1.7976931348623157e308, -1.7976931348623157e308
+]
 finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from(EDGE_FLOATS),
@@ -53,7 +55,7 @@ finite = st.one_of(
 unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
 extent = st.one_of(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    st.sampled_from([5e-324, 1.7976931348623157e308]),
+    st.sampled_from([5e-324, 1e300, 1.7976931348623157e308]),
 )
 FEATURE_DIM = 4
 
@@ -157,6 +159,26 @@ class TestDetectionFile:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_detections(path)
+
+    @pytest.mark.parametrize("field,index", [("conf", None), ("bbox", 0), ("bbox", 3)])
+    @pytest.mark.parametrize("value", [True, "0.9", "10", None])
+    def test_conf_and_bbox_must_be_json_numbers(self, tmp_path, field, index, value):
+        bad = json.loads(json.dumps(GOOD_RECORD))
+        if index is None:
+            bad[field] = value
+        else:
+            bad[field][index] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match="line 2: conf and bbox must be JSON numbers"):
+            parse_detections(path)
+
+    def test_integer_conf_and_bbox_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps(dict(GOOD_RECORD, conf=1)) + "\n")
+        (det,) = parse_detections(path)
+        assert type(det.det_confidence) is float and det.det_confidence == 1.0
+        assert all(type(v) is float for v in dataclasses.astuple(det.bbox))
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -287,6 +309,47 @@ class TestTrackRowFile:
         assert sorted(parsed, key=lambda r: r.sort_key()) == sorted(
             rows, key=lambda r: r.sort_key()
         )
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 2**40),
+                st.integers(-5, 2**40),
+                finite,
+                finite,
+                extent,
+                extent,
+            ),
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+    def test_round_trip_property_bit_exact(self, tmp_path, fields, include_camera):
+        # -0.0, 5e-324 and 1e300 are among the edges `finite` and `extent` draw.
+        rows = [
+            TrackRow(cam if include_camera else 2, frame, ident, BBox(x, y, w, h))
+            for cam, frame, ident, x, y, w, h in fields
+        ]
+        path = tmp_path / "rows.csv"
+        write_track_rows(path, rows, include_camera=include_camera)
+        parsed = parse_track_rows(path, camera_id=None if include_camera else 2)
+        want = sorted(rows, key=lambda r: r.sort_key())
+        assert [r.sort_key() for r in parsed] == [r.sort_key() for r in want]
+        boxes = [dataclasses.astuple(r.bbox) for r in parsed]
+        assert np.array_equal(bits(boxes), bits([dataclasses.astuple(r.bbox) for r in want]))
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "mct.csv"
+        write_track_rows(path, [TrackRow(0, 1, 1, BBox(-0.0, 0.0, 5, 5))], include_camera=True)
+        assert path.read_text() == "0,1,1,-0,0,5,5\n"
+        (row,) = parse_track_rows(path)
+        assert np.copysign(1.0, row.bbox.x) == -1.0 and np.copysign(1.0, row.bbox.y) == 1.0
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_box_names_line(self, tmp_path, text):

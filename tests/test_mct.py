@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtmctrack.core import (
     BBox,
@@ -295,3 +296,67 @@ class TestMergedFeature:
         merged = next(t for t in out if t.cameras == {0, 1})
         expected = replay_feature(a_obs + b_obs, CFG)
         assert feature_leaves(merged.fused) == feature_leaves(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),  # valid
+                st.sampled_from(list(Orientation)),
+                st.integers(1, 3),  # frame gap
+                st.integers(0, 3),  # appearance
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        cut=st.integers(0, 25),
+    )
+    def test_fold_onto_earlier_feature_equals_replay_of_union(self, steps, cut):
+        frame, records = 0, []
+        for valid, orientation, gap, a in steps:
+            frame += gap
+            records.append(
+                ObsRecord(
+                    frame=frame,
+                    bbox=BBox(100.0, 100.0, 40.0, 80.0),
+                    det_confidence=0.9,
+                    occlusion=OcclusionStatus.VALID if valid else OcclusionStatus.INVALID,
+                    orientation=orientation,
+                    embedding=vec(float(a), 0.1 * frame),
+                )
+            )
+        earlier, later = records[:cut], records[cut:]
+        folded = replay_feature(later, CFG, replay_feature(earlier, CFG))
+        assert feature_leaves(folded) == feature_leaves(replay_feature(records, CFG))
+
+    def test_link_folds_only_the_later_trajectory(self, monkeypatch):
+        import mtmctrack.mct as mct_module
+
+        folded = []
+
+        def counting(observations, cfg, start=None):
+            folded.append(len(observations))
+            return replay_feature(observations, cfg, start)
+
+        monkeypatch.setattr(mct_module, "replay_feature", counting)
+        # The later trajectory comes first in the list, so it is the one
+        # the merge keeps.
+        a = traj(1, 1, range(20, 26), vec(5.0))
+        b = traj(2, 0, range(0, 8), vec(5.1))
+        expected = replay_feature(
+            [o for t in (b, a) for s in t.segments for o in s.observations], CFG
+        )
+        (merged,) = associate_mct([a, b], CFG)
+        assert folded == [6]
+        assert feature_leaves(merged.fused) == feature_leaves(expected)
+
+    def test_link_of_interleaved_trajectories_is_refused(self, monkeypatch):
+        # The distance gates forbid such a pair; with them lifted, the fold
+        # must refuse rather than return a feature that is not the replay.
+        import mtmctrack.mct as mct_module
+
+        monkeypatch.setattr(mct_module, "physical_constraints_ok", lambda *a, **k: True)
+        a = traj(1, 0, range(0, 10), vec(5.0))
+        b = traj(2, 1, range(5, 15), vec(5.0))
+        with pytest.raises(ValueError, match="overlap in time"):
+            associate_mct([a, b], CFG)

@@ -778,3 +778,51 @@ class TestRunSct:
         calls.clear()
         run_sct(copy.deepcopy(dets), cfg, offline=True)
         assert calls == [29]
+
+
+class TestRowContract:
+    """Eval rejects two rows of one identity in one (camera, frame); the
+    tracker must never write them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 12),  # x on a 10 px grid: crossings and near misses
+                    st.integers(0, 3),  # y
+                    st.integers(0, 2),  # appearance
+                    st.booleans(),  # valid pose
+                ),
+                max_size=4,
+                unique_by=lambda d: (d[0], d[1]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        k_interval=st.integers(2, 7),
+    )
+    def test_online_run_emits_one_row_per_identity_and_frame(self, stream, k_interval):
+        # Short lives and loose merge thresholds, so that tracklets end,
+        # rectify and cluster between emissions.
+        cfg = TrackerConfig(
+            feature_dim=8,
+            k_interval=k_interval,
+            mu_m=2,
+            mu_d=4,
+            l_rectify=2,
+            theta_rectify=100.0,
+            theta_cluster=100.0,
+        )
+        dets = [
+            det(f, x=100.0 + 10.0 * x, y=100.0 + 10.0 * y, emb=vec(float(a)), valid=v)
+            for f, frame_dets in enumerate(stream)
+            for x, y, a, v in frame_dets
+        ]
+        boxes = {(d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets}
+        rows, _ = run_sct(copy.deepcopy(dets), cfg, camera_id=0, offline=False)
+        keys = [(r.frame, r.identity) for r in rows]
+        assert len(keys) == len(set(keys))
+        for r in rows:
+            assert r.camera_id == 0
+            assert (r.frame, r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) in boxes
