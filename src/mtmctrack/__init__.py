@@ -11,6 +11,7 @@ from .core import (
     TrackerConfig,
     euclidean_distance,
     iou,
+    iou_aligned,
     iou_matrix,
 )
 from .features import FusedTrackingFeature
@@ -42,6 +43,7 @@ __all__ = [
     "generate_scenario",
     "id_measures",
     "iou",
+    "iou_aligned",
     "iou_matrix",
     "run_mct",
     "run_sct",

@@ -4,6 +4,10 @@ Both solvers consume rectangular distance matrices where ``inf`` marks a
 forbidden pairing; a NaN entry is an error, not a forbidden pairing. The
 Hungarian path returns a minimum-cost matching of maximal feasible size; the
 greedy path accepts globally cheapest pairs until the threshold is crossed.
+Where no row and no column has more than one feasible entry, that matching
+is the feasible entries themselves, and the Hungarian path returns them
+without calling the solver: most per-frame matrices of tracking and
+evaluation look like this.
 """
 
 from __future__ import annotations
@@ -41,26 +45,33 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
         return AssignmentResult([], list(range(rows)), list(range(cols)))
 
     feasible = np.isfinite(m)
-    if feasible.any() and m[feasible].min() < 0.0:
-        raise ValueError("distance matrix entries must be non-negative")
     if not feasible.any():
         return AssignmentResult([], list(range(rows)), list(range(cols)))
+    costs = m[feasible]
+    if costs.min() < 0.0:
+        raise ValueError("distance matrix entries must be non-negative")
 
     # Surrogate cost for forbidden entries: strictly larger than the sum of
     # all feasible entries, so the solver first maximizes the number of
     # feasible pairs and only then minimizes their cost.
-    total = float(m[feasible].sum())
+    total = float(costs.sum())
     surrogate = total + 1.0
     if not surrogate > total:  # also catches an overflow to inf
         raise ValueError(
             f"feasible costs sum to {total!r}; forbidden entries need that sum "
             "plus 1 to be finite and larger, which holds below 2**53"
         )
-    cost = np.where(feasible, m, surrogate)
-    row_idx, col_idx = linear_sum_assignment(cost)
-
-    pairs = [(int(r), int(c)) for r, c in zip(row_idx, col_idx) if feasible[r, c]]
-    pairs.sort()
+    row_idx, col_idx = np.nonzero(feasible)
+    feasible_rows, feasible_cols = row_idx.tolist(), col_idx.tolist()
+    if len(set(feasible_rows)) == len(feasible_rows) == len(set(feasible_cols)):
+        # No row and no column has a choice: the feasible entries are the
+        # only maximal matching, already in row-major order.
+        pairs = list(zip(feasible_rows, feasible_cols))
+    else:
+        cost = np.where(feasible, m, surrogate)
+        row_idx, col_idx = linear_sum_assignment(cost)
+        pairs = [(int(r), int(c)) for r, c in zip(row_idx, col_idx) if feasible[r, c]]
+        pairs.sort()
     matched_r = {r for r, _ in pairs}
     matched_c = {c for _, c in pairs}
     return AssignmentResult(

@@ -3,7 +3,8 @@
 Everything downstream (state estimation, feature fusion, association,
 evaluation) is written against the types in this module. All types are
 plain values: safe to copy between threads, no hidden mutability. Box
-overlap has one implementation, ``iou_matrix``; ``iou`` is its 1 x 1 case.
+overlap has one formula, ``iou_aligned`` over aligned box arrays;
+``iou_matrix`` is its broadcast case and ``iou`` its 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -238,23 +239,24 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(squared_distance(a.ravel(), b.ravel()))
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection-over-union of every box of ``a`` with every box of
-    ``b``: the one IoU of the package.
+def iou_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection-over-union of box ``a[k]`` with box ``b[k]`` for every
+    ``k``: the one IoU formula of the package.
 
-    ``a`` is an (n, 4) and ``b`` an (m, 4) float64 array of ``(x, y, w, h)``
-    rows with positive extents; the result is (n, m). Each entry is the
-    scalar formula's double bit for bit: edges by max/min, extents clamped
-    at 0, ``inter = iw * ih``, ``union = w*h + w*h - inter``, then
-    ``inter / union`` with a union <= 0 read as 0. Only elementwise IEEE
-    operations are used, no reduction. NumPy's maximum/minimum and Python's
-    max/min differ only in which zero a tie of 0.0 and -0.0 returns. With
-    positive extents no right edge and no extent is -0.0, so such a tie can
-    only be between two left edges, and a right edge minus either zero is
-    the same double.
+    ``a`` and ``b`` are float64 arrays of ``(x, y, w, h)`` rows with positive
+    extents, shaped (k, 4) or any shapes whose leading axes broadcast; the
+    result has the broadcast leading shape. Each entry is the scalar
+    formula's double bit for bit: edges by max/min, extents clamped at 0,
+    ``inter = iw * ih``, ``union = w*h + w*h - inter``, then ``inter /
+    union`` with a union <= 0 read as 0. Only elementwise IEEE operations
+    are used, no reduction, so an entry does not depend on the shape or on
+    its neighbours. NumPy's maximum/minimum and Python's max/min differ only
+    in which zero a tie of 0.0 and -0.0 returns. With positive extents no
+    right edge and no extent is -0.0, so such a tie can only be between two
+    left edges, and a right edge minus either zero is the same double.
     """
-    ax, ay, aw, ah = a[:, 0, None], a[:, 1, None], a[:, 2, None], a[:, 3, None]
-    bx, by, bw, bh = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    ax, ay, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx, by, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     # Boxes near the float range overflow to inf and NaN as the scalar
     # formula does, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -265,11 +267,18 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(union <= 0.0, 0.0, inter / union)
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box of the (n, 4) array ``a`` with every box of the
+    (m, 4) array ``b``, as an (n, m) array: the broadcast case of
+    ``iou_aligned``."""
+    return iou_aligned(a[:, None, :], b[None, :, :])
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes, in [0, 1]: the 1 x 1 case of
-    ``iou_matrix``."""
+    ``iou_aligned``."""
     boxes = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]], dtype=np.float64)
-    return float(iou_matrix(boxes[:1], boxes[1:])[0, 0])
+    return float(iou_aligned(boxes[0], boxes[1]))
 
 
 def forbidden_matrix(rows: int, cols: int) -> np.ndarray:

@@ -8,8 +8,11 @@ frame with a carry-over preference and counts FP/FN/identity switches.
 
 Both metrics read one join on (camera, frame), which owns the row contract
 (one row per identity per camera and frame) and the co-location rule (IoU
-at or above the threshold). The join scores each (camera, frame) with one
-``core.iou_matrix`` call, the package's one IoU.
+at or above the threshold). The join batches consecutive keys into chunks of
+at most ``CHUNK_PAIRS`` truth x predicted pairs (a larger key is a chunk of
+its own) and scores each chunk with one ``core.iou_aligned`` pass, the
+package's one IoU formula, so every overlap is the same double a per-key
+``iou_matrix`` gives.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian
-from .core import FORBIDDEN, TrackRow, iou_matrix
+from .core import FORBIDDEN, TrackRow, iou_aligned
+
+# Truth x predicted pairs scored per NumPy pass: keys are batched until the
+# next would pass this, so the pair arrays stay small whatever the file size.
+# At 4,096 each per-pair temporary is 32 KiB. At 16,384, eval of a 40-id,
+# 1,800-frame scene ran about 30 % slower than at 4,096 on a 2-vCPU VM:
+# every chunk's larger temporaries were fresh memory.
+CHUNK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -51,9 +61,9 @@ def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
 
     Yields, in key order, each (camera, frame) with its truth rows and its
     predicted rows, each sorted by identity, and the ``(i, j, iou)`` of
-    every pair whose boxes co-locate: IoU at or above the threshold. Two
-    rows of one identity in one (camera, frame), on either side, violate
-    the row contract.
+    every pair whose boxes co-locate: IoU at or above the threshold, in
+    row-major order. Two rows of one identity in one (camera, frame), on
+    either side, violate the row contract.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError("iou_threshold must lie in (0, 1)")
@@ -69,18 +79,57 @@ def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
                     f"{key[0]} frame {key[1]}"
                 )
             by_id[r.identity] = r
+    chunk = []
+    chunk_pairs = 0
     for key in sorted(gt_by_key.keys() | pred_by_key.keys()):
         g_by_id = gt_by_key.get(key, {})
         p_by_id = pred_by_key.get(key, {})
         g_rows = [g_by_id[i] for i in sorted(g_by_id)]
         p_rows = [p_by_id[i] for i in sorted(p_by_id)]
-        pairs = []
-        if g_rows and p_rows:
-            overlaps = iou_matrix(_boxes(g_rows), _boxes(p_rows))
-            # Row-major, as a loop over truth then predicted rows visits them.
-            rows, cols = np.nonzero(overlaps >= iou_threshold)
-            pairs = list(zip(rows.tolist(), cols.tolist(), overlaps[rows, cols].tolist()))
-        yield key, g_rows, p_rows, pairs
+        key_pairs = len(g_rows) * len(p_rows)
+        # A key larger than a chunk is scored alone.
+        if chunk and chunk_pairs + key_pairs > CHUNK_PAIRS:
+            yield from _score_chunk(chunk, iou_threshold)
+            chunk, chunk_pairs = [], 0
+        chunk.append((key, g_rows, p_rows))
+        chunk_pairs += key_pairs
+    yield from _score_chunk(chunk, iou_threshold)
+
+
+def _score_chunk(chunk: list, iou_threshold: float):
+    """Score every truth x predicted pair of the chunk's keys in one
+    ``iou_aligned`` pass, then yield each key as ``_colocated`` does."""
+    n = np.array([len(g_rows) for _, g_rows, _ in chunk], dtype=np.int64)
+    m = np.array([len(p_rows) for _, _, p_rows in chunk], dtype=np.int64)
+    g_first = np.cumsum(n) - n  # first truth row of each key
+    p_first = np.cumsum(m) - m  # first predicted row of each key
+    # Each truth row pairs with the predicted rows of its key, in order, so
+    # the pairs of a key run row-major.
+    reps = np.repeat(m, n)
+    total = int(reps.sum())
+    hits: list = []
+    ends = [0] * len(chunk)
+    if total:
+        key_of_row = np.repeat(np.arange(len(chunk)), n)
+        row_of = np.repeat(np.arange(len(reps)), reps)
+        pair_first = np.cumsum(reps) - reps  # first pair of each truth row
+        p_at = np.arange(total) + np.repeat(p_first[key_of_row] - pair_first, reps)
+        g_boxes = _boxes([r for _, g_rows, _ in chunk for r in g_rows])
+        p_boxes = _boxes([r for _, _, p_rows in chunk for r in p_rows])
+        # np.repeat and np.take copy rows several times faster than fancy
+        # indexing does.
+        overlaps = iou_aligned(np.repeat(g_boxes, reps, axis=0), np.take(p_boxes, p_at, axis=0))
+        hit = np.flatnonzero(overlaps >= iou_threshold)
+        row = row_of[hit]
+        hit_key = key_of_row[row]
+        i = row - g_first[hit_key]
+        j = p_at[hit] - p_first[hit_key]
+        hits = list(zip(i.tolist(), j.tolist(), overlaps[hit].tolist()))
+        ends = np.cumsum(np.bincount(hit_key, minlength=len(chunk))).tolist()
+    start = 0
+    for (key, g_rows, p_rows), end in zip(chunk, ends):
+        yield key, g_rows, p_rows, hits[start:end]
+        start = end
 
 
 def _boxes(rows: list[TrackRow]) -> np.ndarray:

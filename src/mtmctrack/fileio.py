@@ -46,6 +46,10 @@ class ParseError(ValueError):
     """A file did not match its format; the message names the line."""
 
 
+# Python's int() and float() read "3_0" as 30; no file format here has one.
+UNDERSCORE_ERROR = "'_' is not allowed in a number"
+
+
 def _atomic_write(path: PathLike, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -210,7 +214,9 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
     """Read either CSV flavor.
 
     7-column rows carry their camera; 10-column MOT rows need ``camera_id``
-    from the caller (usually derived from the file name).
+    from the caller (usually derived from the file name). A ``_`` anywhere
+    in a row is an error: ``int()`` and ``float()`` would read it as a
+    digit separator.
     """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
@@ -218,11 +224,13 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
             line = line.strip()
             if not line:
                 continue
+            if "_" in line:
+                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
             parts = line.split(",")
             try:
                 if len(parts) == 7:
-                    cam, frame, ident = int(parts[0]), int(parts[1]), int(parts[2])
-                    box = BBox(*[float(v) for v in parts[3:7]])
+                    cam, frame, ident, x, y, w, h = parts
+                    cam = int(cam)
                 elif len(parts) == 10:
                     if camera_id is None:
                         raise ParseError(
@@ -230,18 +238,24 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
                             "explicit camera id"
                         )
                     cam = camera_id
-                    frame, ident = int(parts[0]), int(parts[1])
-                    box = BBox(*[float(v) for v in parts[2:6]])
+                    frame, ident, x, y, w, h = parts[:6]
                 else:
                     raise ParseError(
                         f"{path}: line {lineno}: expected 7 or 10 columns, "
                         f"got {len(parts)}"
                     )
+                rows.append(
+                    TrackRow(
+                        cam,
+                        int(frame),
+                        int(ident),
+                        BBox(float(x), float(y), float(w), float(h)),
+                    )
+                )
             except ParseError:
                 raise
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            rows.append(TrackRow(cam, frame, ident, box))
     return rows
 
 
@@ -249,7 +263,8 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     """Flat "key = value" config; unknown keys are rejected to catch typos.
 
     Missing keys keep their defaults; a missing path means all defaults.
-    Boolean switches take exactly 0 or 1.
+    Boolean switches take exactly 0 or 1. A value with a ``_`` is rejected,
+    although ``float()`` would read it as a digit separator.
     """
     if path is None:
         return TrackerConfig()
@@ -269,6 +284,8 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
             raw = raw.strip()
             if key not in kinds:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+            if "_" in raw:
+                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
             try:
                 number = float(raw)
             except ValueError as exc:

@@ -25,6 +25,7 @@ from .core import (
     RIGHT_SHOULDER,
     TrackerConfig,
 )
+from .fileio import UNDERSCORE_ERROR, ParseError
 
 # Input layout of the orientation classifier: normalized position and
 # confidence of both shoulders and both hips, then the two ear confidences.
@@ -201,10 +202,17 @@ def load_mlp_weights(path) -> MlpWeights:
 
     Header line "mlp 14 128 64 128 64 4", then per layer one line
     "layer <in> <out>", <out> rows of <in> weights, one row of <out> biases.
-    Shape mismatches are rejected.
+    Shape mismatches are rejected, and so is a ``_`` on any line.
     """
+    tokens_by_line = []
     with open(path, "r", encoding="ascii") as fh:
-        tokens_by_line = [line.split() for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            # float() would read "1_0.5" as 10.5.
+            if "_" in line:
+                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
+            tokens = line.split()
+            if tokens:
+                tokens_by_line.append(tokens)
     if not tokens_by_line:
         raise ValueError(f"{path}: empty weight file")
     header = tokens_by_line[0]

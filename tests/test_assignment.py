@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from mtmctrack.assignment import greedy_associate, hungarian
+from mtmctrack.assignment import AssignmentResult, greedy_associate, hungarian
 from mtmctrack.core import FORBIDDEN
 
 
@@ -35,6 +38,40 @@ def brute_force_min_cost(matrix):
             if size > best_size or (size == best_size and cost < best_cost):
                 best_size, best_cost = size, cost
     return best_cost, best_size
+
+
+@st.composite
+def one_to_one_matrices(draw):
+    """A rows x cols matrix whose feasible entries share no row and no
+    column; the other rows and columns are all forbidden."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(rows, cols)))
+    picked_rows = draw(st.permutations(range(rows)))[:k]
+    picked_cols = draw(st.permutations(range(cols)))[:k]
+    m = np.full((rows, cols), FORBIDDEN)
+    for r, c in zip(picked_rows, picked_cols):
+        # Whole numbers, so that sums in any order are exact.
+        m[r, c] = float(draw(st.integers(0, 10**6)))
+    return m
+
+
+def solver_reference(m):
+    """The solver path written out: scipy on the matrix with every forbidden
+    entry replaced by the feasible sum plus 1."""
+    rows, cols = m.shape
+    feasible = np.isfinite(m)
+    pairs = []
+    if feasible.any():
+        cost = np.where(feasible, m, m[feasible].sum() + 1.0)
+        pairs = sorted(
+            (int(r), int(c)) for r, c in zip(*linear_sum_assignment(cost)) if feasible[r, c]
+        )
+    return AssignmentResult(
+        matched_pairs=pairs,
+        unmatched_rows=[r for r in range(rows) if r not in {r for r, _ in pairs}],
+        unmatched_cols=[c for c in range(cols) if c not in {c for _, c in pairs}],
+    )
 
 
 class TestHungarian:
@@ -150,6 +187,31 @@ class TestHungarian:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rejects_costs_it_cannot_rank(self, matrix):
         with pytest.raises(ValueError, match=r"2\*\*53"):
+            hungarian(np.array(matrix))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_to_one_matrices())
+    def test_no_choice_matrix_matches_solver_and_brute_force(self, m):
+        result = hungarian(m)
+        assert result == solver_reference(m)
+        oracle_cost, oracle_size = brute_force_min_cost(m)
+        assert len(result.matched_pairs) == oracle_size
+        assert sum(m[r, c] for r, c in result.matched_pairs) == oracle_cost
+        feasible_rows, feasible_cols = np.nonzero(np.isfinite(m))
+        assert result.matched_pairs == list(zip(feasible_rows.tolist(), feasible_cols.tolist()))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[np.nan, FORBIDDEN], [FORBIDDEN, 1.0]], "NaN"),
+            ([[FORBIDDEN, -1.0], [2.0, FORBIDDEN]], "non-negative"),
+            # 2**53 + 1 rounds back to 2**53.
+            ([[2.0**53]], r"2\*\*53"),
+        ],
+        ids=["nan", "negative", "plus_one_lost"],
+    )
+    def test_no_choice_matrix_still_checked(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
             hungarian(np.array(matrix))
 
     def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):

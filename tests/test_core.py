@@ -13,6 +13,7 @@ from mtmctrack.core import (
     center_distance,
     euclidean_distance,
     iou,
+    iou_aligned,
     iou_matrix,
     squared_distance,
 )
@@ -108,7 +109,8 @@ class TestIoU:
 
 def scalar_iou(a, b):
     """The IoU formula of two (x, y, w, h) tuples, written out in Python
-    floats: the reference ``iou_matrix`` must match bit for bit."""
+    floats: the reference ``iou_aligned`` and ``iou_matrix`` must match bit
+    for bit."""
     ix = max(a[0], b[0])
     iy = max(a[1], b[1])
     ix2 = min(a[0] + a[2], b[0] + b[2])
@@ -165,6 +167,20 @@ class TestIoUMatrix:
         assert got.shape == (len(a), len(b))
         assert got.dtype == np.float64
         assert np.array_equal(got.reshape(-1).view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_sets())
+    def test_aligned_form_bit_identical_to_scalar_formula(self, sets):
+        # Every truth x predicted pair, laid out as two aligned (k, 4) arrays.
+        a, b = sets
+        pairs = [(p, q) for p in a for q in b]
+        got = iou_aligned(as_boxes([p for p, _ in pairs]), as_boxes([q for _, q in pairs]))
+        want = np.array([scalar_iou(p, q) for p, q in pairs], dtype=np.float64)
+        assert got.shape == (len(pairs),)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        matrix = iou_matrix(as_boxes(a), as_boxes(b)).reshape(-1)
+        assert np.array_equal(matrix.view(np.uint64), got.view(np.uint64))
 
     @settings(max_examples=100, deadline=None)
     @given(BOX, BOX)

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from mtmctrack.core import BBox, TrackRow, iou
-from mtmctrack.evaluation import clear_metrics, id_measures
+from mtmctrack import evaluation
+from mtmctrack.core import BBox, TrackRow, iou, iou_matrix
+from mtmctrack.evaluation import _colocated, clear_metrics, id_measures
 
 
 def row(frame, ident, x=0.0, y=0.0, cam=0, w=10.0, h=10.0):
@@ -282,3 +284,56 @@ class TestClearMetrics:
         gt, pred = (rows, track(1, range(2))) if side == "gt" else (track(1, range(2)), rows)
         with pytest.raises(ValueError, match="duplicate row for identity 1 at camera 0 frame 1"):
             clear_metrics(gt, pred)
+
+
+def random_keys(rng, n_keys):
+    """Shuffled rows over ``n_keys`` (camera, frame) keys with 0 to 5 truth
+    and 0 to 5 predicted rows each: some keys have one side empty, some
+    hold more pairs than a small chunk."""
+    gt, pred = [], []
+    for f in range(n_keys):
+        cam = int(rng.integers(0, 2))
+        for side in (gt, pred):
+            for ident in rng.choice(9, size=int(rng.integers(0, 6)), replace=False):
+                x, y = rng.uniform(0, 20, size=2)
+                w, h = rng.uniform(5, 15, size=2)
+                side.append(row(f, int(ident), x=x, y=y, cam=cam, w=w, h=h))
+    return [gt[k] for k in rng.permutation(len(gt))], [pred[k] for k in rng.permutation(len(pred))]
+
+
+def per_key_join(gt, pred, thr):
+    """The join key by key: one ``iou_matrix`` per (camera, frame)."""
+    out = []
+    for key in sorted({(r.camera_id, r.frame) for r in gt + pred}):
+        g_rows, p_rows = (
+            sorted((r for r in rows if (r.camera_id, r.frame) == key), key=lambda r: r.identity)
+            for rows in (gt, pred)
+        )
+        pairs = []
+        if g_rows and p_rows:
+            boxes = [np.array([dataclasses.astuple(r.bbox) for r in rows]) for rows in (g_rows, p_rows)]
+            overlaps = iou_matrix(*boxes)
+            for i, j in zip(*np.nonzero(overlaps >= thr)):
+                pairs.append((int(i), int(j), float(overlaps[i, j])))
+        out.append((key, g_rows, p_rows, pairs))
+    return out
+
+
+class TestColocatedChunks:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_matches_per_key_iou_matrix_bit_for_bit(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(evaluation, "CHUNK_PAIRS", chunk)
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            gt, pred = random_keys(rng, int(rng.integers(0, 25)))
+            thr = float(rng.uniform(0.05, 0.6))
+            got = list(_colocated(gt, pred, thr))
+            want = per_key_join(gt, pred, thr)
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            for (*_, got_pairs), (*_, want_pairs) in zip(got, want):
+                assert [(i, j) for i, j, _ in got_pairs] == [(i, j) for i, j, _ in want_pairs]
+                assert all(type(v) is float for _, _, v in got_pairs)
+                got_bits = np.array([v for *_, v in got_pairs], dtype=np.float64).view(np.uint64)
+                want_bits = np.array([v for *_, v in want_pairs], dtype=np.float64).view(np.uint64)
+                assert np.array_equal(got_bits, want_bits)

@@ -362,6 +362,21 @@ class TestTrackRowFile:
         with pytest.raises(ParseError, match="line 2"):
             parse_track_rows(mot, camera_id=0)
 
+    @pytest.mark.parametrize(
+        "text, camera_id",
+        [
+            # int() and float() would read these as frame 30 and x 10.5.
+            ("0,1,1,0,0,5,5\n0,3_0,1,1_0.5,2,3,4\n", None),
+            ("1,1,0,0,5,5,1,-1,-1,-1\n3_0,1,1_0.5,2,3,4,1,-1,-1,-1\n", 0),
+        ],
+        ids=["7_columns", "10_columns"],
+    )
+    def test_underscore_in_a_number_names_line(self, tmp_path, text, camera_id):
+        path = tmp_path / "tracks.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="line 2: '_' is not allowed"):
+            parse_track_rows(path, camera_id=camera_id)
+
     def test_mot_rows_need_camera(self, tmp_path):
         path = tmp_path / "cam0.txt"
         write_track_rows(path, [TrackRow(0, 1, 1, BBox(0, 0, 5, 5))])
@@ -410,6 +425,14 @@ class TestConfigFile:
         path = tmp_path / "cfg.txt"
         path.write_text(f"mu_d = 200\n{key} = {raw}\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, raw", [("k_interval", "6_00"), ("theta_mct", "4_0.5")])
+    def test_underscore_in_a_value_names_line(self, tmp_path, key, raw):
+        # One integer and one float field; float() would read 600 and 40.5.
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"mu_d = 200\n{key} = {raw}\n")
+        with pytest.raises(ParseError, match="line 2: '_' is not allowed"):
             load_config(path)
 
     @pytest.mark.parametrize("raw", ["0.5", "2", "-1"])

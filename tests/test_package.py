@@ -1,6 +1,8 @@
 """Structure of the package: modules share only public names."""
 
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from collections import Counter
@@ -79,3 +81,19 @@ def test_every_top_level_name_is_used():
                 if words[name] <= 1 and name not in mtmctrack.__all__
             ]
     assert unused == []
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # The benchmark's tracer wraps its layers by module and function name,
+    # so a renamed layer would otherwise fail only in a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    missing = [
+        f"{layer.module}.{layer.function}"
+        for layer in tracer.LAYERS
+        if not callable(getattr(importlib.import_module(layer.module), layer.function, None))
+    ]
+    assert missing == []

@@ -16,6 +16,7 @@ from mtmctrack.core import (
     RIGHT_SHOULDER,
     TrackerConfig,
 )
+from mtmctrack.fileio import ParseError
 from mtmctrack.state_estimation import (
     MLP_LAYER_SIZES,
     MlpWeights,
@@ -255,6 +256,17 @@ class TestWeightFile:
         path = tmp_path / "bad.weights"
         path.write_text("mlp 14 128 64 128 64 5\n")
         with pytest.raises(ValueError, match="header"):
+            load_mlp_weights(path)
+
+    def test_rejects_underscore_in_a_weight(self, tmp_path):
+        rng = np.random.default_rng(16)
+        path = tmp_path / "sep.weights"
+        save_mlp_weights(path, MlpWeights.random(rng))
+        lines = path.read_text().splitlines()
+        # float() would read this token as 10.5.
+        lines[2] = "1_0.5 " + lines[2].split(" ", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 3: '_' is not allowed"):
             load_mlp_weights(path)
 
     def test_rejects_truncated_file(self, tmp_path):
