@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -120,10 +120,6 @@ class BBox:
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 def center_distance(a: BBox, b: BBox) -> float:
     """Straight-line pixel distance between two box centers."""
@@ -187,6 +183,18 @@ class TrackerConfig:
     mct_velocity_gate: bool = False
 
     def __post_init__(self):
+        # The annotations are postponed, so each field's type is its name.
+        # bool is an Integral to Python, but neither a count nor a measure.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if value is not True and value is not False:
+                    raise ValueError(f"{f.name} must be True or False, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if f.type == "int" else numbers.Real
+            ):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         positive = [
             ("gamma_valid", self.gamma_valid),
             ("theta_valid", self.theta_valid),

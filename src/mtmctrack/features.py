@@ -1,11 +1,12 @@
 """The five-part fused appearance model of a tracklet and its distances.
 
 A tracklet's appearance is summarized by: the latest valid embedding, a
-per-orientation bank of running means, an online cluster set (capped at
-``n_c`` centers), the most recent invalid embedding (kept one frame only),
-and the running mean over all valid embeddings. Only valid embeddings feed
-the first, second, third and fifth parts; invalid embeddings touch nothing
-but the invalid slot.
+tuple of four per-orientation running means, an online cluster set (a tuple
+of at most ``n_c`` running means), the most recent invalid embedding (kept
+one frame only), and the running mean over all valid embeddings. Every
+running mean is a ``MeanSlot``. Only valid embeddings feed the first,
+second, third and fifth parts; invalid embeddings touch nothing but the
+invalid slot.
 
 All update operations are functional: they return a new object and never
 mutate their inputs, so a caller can hold the previous state for free.
@@ -14,7 +15,7 @@ mutate their inputs, so a caller can hold the previous state for free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .core import (
     FORBIDDEN,
     OcclusionStatus,
-    Orientation,
     TrackerConfig,
     euclidean_distance,
     squared_distance,
@@ -31,7 +31,8 @@ from .core import (
 
 @dataclass(frozen=True)
 class MeanSlot:
-    """A running mean with its sample count."""
+    """A running mean with its sample count: an orientation slot, a cluster
+    (its center is the exact mean of its members) or the overall average."""
 
     mean: np.ndarray
     count: int
@@ -41,41 +42,9 @@ class MeanSlot:
         return MeanSlot(new_mean, self.count + 1)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One appearance mode: a center that is the exact mean of its members."""
-
-    center: np.ndarray
-    member_count: int
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Ordered list of at most ``n_c`` clusters, grown online."""
-
-    clusters: tuple[Cluster, ...] = ()
-
-    def __len__(self):
-        return len(self.clusters)
-
-
-@dataclass(frozen=True)
-class OrientationBank:
-    """Per-orientation running means over valid embeddings."""
-
-    slots: tuple[Optional[MeanSlot], ...] = (None, None, None, None)
-
-    def slot(self, orientation: Orientation) -> Optional[MeanSlot]:
-        return self.slots[orientation.value]
-
-    def fold(self, orientation: Orientation, feature: np.ndarray) -> "OrientationBank":
-        slots = list(self.slots)
-        current = slots[orientation.value]
-        if current is None:
-            slots[orientation.value] = MeanSlot(feature, 1)
-        else:
-            slots[orientation.value] = current.fold(feature)
-        return OrientationBank(tuple(slots))
+def _fold(slot: Optional[MeanSlot], feature: np.ndarray) -> MeanSlot:
+    """``slot`` with ``feature`` folded in; an empty slot starts at it."""
+    return MeanSlot(feature, 1) if slot is None else slot.fold(feature)
 
 
 @dataclass(frozen=True)
@@ -91,18 +60,20 @@ class FusedTrackingFeature:
     """Full appearance state of one tracklet."""
 
     current: Optional[np.ndarray] = None
-    orientation_bank: OrientationBank = field(default_factory=OrientationBank)
-    cluster_set: ClusterSet = field(default_factory=ClusterSet)
+    # One slot per orientation, indexed by ``Orientation.value``.
+    orientation_bank: tuple[Optional[MeanSlot], ...] = (None, None, None, None)
+    # At most ``n_c`` clusters, in the order they were opened.
+    cluster_set: tuple[MeanSlot, ...] = ()
     invalid: Optional[InvalidSlot] = None
     avg: Optional[MeanSlot] = None
 
 
 def update_cluster(
-    cluster_set: ClusterSet,
+    cluster_set: tuple[MeanSlot, ...],
     feature: np.ndarray,
     status: OcclusionStatus,
     n_c: int,
-) -> ClusterSet:
+) -> tuple[MeanSlot, ...]:
     """Fold one embedding into the online cluster set.
 
     Invalid embeddings are ignored. Below the cluster cap a new singleton
@@ -113,20 +84,16 @@ def update_cluster(
         raise ValueError("n_c must be >= 1")
     if status is OcclusionStatus.INVALID:
         return cluster_set
-    clusters = cluster_set.clusters
-    if len(clusters) < n_c:
-        return ClusterSet(clusters + (Cluster(np.array(feature, dtype=np.float64), 1),))
+    if len(cluster_set) < n_c:
+        return cluster_set + (MeanSlot(np.array(feature, dtype=np.float64), 1),)
     # Compare the roots, not the squares: two squares can differ while their
     # roots round equal, and equal roots must tie to the lowest index.
     k, best = 0, FORBIDDEN
-    for idx, c in enumerate(clusters):
-        d = math.sqrt(squared_distance(c.center, feature))
+    for idx, c in enumerate(cluster_set):
+        d = math.sqrt(squared_distance(c.mean, feature))
         if d < best:
             k, best = idx, d
-    old = clusters[k]
-    new_center = (old.center * old.member_count + feature) / (old.member_count + 1)
-    updated = Cluster(new_center, old.member_count + 1)
-    return ClusterSet(clusters[:k] + (updated,) + clusters[k + 1 :])
+    return cluster_set[:k] + (cluster_set[k].fold(feature),) + cluster_set[k + 1 :]
 
 
 def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTrackingFeature:
@@ -144,12 +111,13 @@ def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTr
         return FusedTrackingFeature(
             F.current, F.orientation_bank, F.cluster_set, InvalidSlot(emb, det.frame), F.avg
         )
+    bank, o = F.orientation_bank, det.orientation.value
     return FusedTrackingFeature(
         current=emb,
-        orientation_bank=F.orientation_bank.fold(det.orientation, emb),
+        orientation_bank=bank[:o] + (_fold(bank[o], emb),) + bank[o + 1 :],
         cluster_set=update_cluster(F.cluster_set, emb, det.occlusion, cfg.n_c),
         invalid=None,
-        avg=MeanSlot(emb, 1) if F.avg is None else F.avg.fold(emb),
+        avg=_fold(F.avg, emb),
     )
 
 
@@ -182,47 +150,35 @@ def replay_feature(
     return F
 
 
-def dist_orientation_banks(a: OrientationBank, b: OrientationBank) -> float:
-    """Minimum same-orientation distance between two banks."""
-    best = FORBIDDEN
-    for o in Orientation:
-        sa, sb = a.slot(o), b.slot(o)
-        if sa is not None and sb is not None:
-            best = min(best, euclidean_distance(sa.mean, sb.mean))
-    return best
-
-
-def dist_cluster_sets(a: ClusterSet, b: ClusterSet) -> float:
-    """Minimum center-to-center distance between two cluster sets."""
-    if not a.clusters or not b.clusters:
-        return FORBIDDEN
-    return min(
-        euclidean_distance(ca.center, cb.center)
-        for ca in a.clusters
-        for cb in b.clusters
-    )
-
-
 def rectify_distance(
     a: FusedTrackingFeature, b: FusedTrackingFeature, cfg: TrackerConfig
 ) -> float:
-    """Appearance distance for rectifying: the cluster-set distance, or the
-    forbidden sentinel when the cluster channel is off or a set is empty."""
+    """Appearance distance for rectifying: the smallest distance between a
+    cluster of ``a`` and one of ``b``, or the forbidden sentinel when the
+    cluster channel is off or a set is empty."""
     if not cfg.use_cluster_feature:
         return FORBIDDEN
-    return dist_cluster_sets(a.cluster_set, b.cluster_set)
+    return min(
+        (euclidean_distance(ca.mean, cb.mean) for ca in a.cluster_set for cb in b.cluster_set),
+        default=FORBIDDEN,
+    )
 
 
 def cluster_distance(
     a: FusedTrackingFeature, b: FusedTrackingFeature, cfg: TrackerConfig
 ) -> float:
     """Appearance distance for clustering and cross-camera linking: the
-    smaller of the averaged-feature and orientation-bank distances. Absent
-    parts contribute the forbidden sentinel."""
-    d_avg = FORBIDDEN
-    if a.avg is not None and b.avg is not None:
-        d_avg = euclidean_distance(a.avg.mean, b.avg.mean)
-    d_ori = FORBIDDEN
+    smallest distance between the two averaged features or two
+    same-orientation slots. Absent parts pair with nothing; with no pair
+    left the result is the forbidden sentinel."""
+    pairs = [(a.avg, b.avg)]
     if cfg.use_orientation_feature:
-        d_ori = dist_orientation_banks(a.orientation_bank, b.orientation_bank)
-    return min(d_avg, d_ori)
+        pairs += zip(a.orientation_bank, b.orientation_bank)
+    return min(
+        (
+            euclidean_distance(sa.mean, sb.mean)
+            for sa, sb in pairs
+            if sa is not None and sb is not None
+        ),
+        default=FORBIDDEN,
+    )

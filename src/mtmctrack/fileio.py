@@ -307,7 +307,11 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
                     raise ParseError(
                         f"{path}: line {lineno}: {key} must be an integer"
                     )
-                values[key] = int(number)
+                try:
+                    # Exact past 2**53, where float() rounds.
+                    values[key] = int(raw)
+                except ValueError:
+                    values[key] = int(number)
             else:
                 values[key] = number
     return TrackerConfig(**values)

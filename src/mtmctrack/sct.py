@@ -186,8 +186,8 @@ def compute_distance_matrix(
         # Channels every detection is compared with.
         shared = [] if F.current is None else [F.current]
         if use_cluster:
-            shared += [c.center for c in F.cluster_set.clusters]
-        slots = F.orientation_bank.slots
+            shared += [c.mean for c in F.cluster_set]
+        slots = F.orientation_bank
         invalid = F.invalid.feature if use_invalid and F.invalid is not None else None
         for j, (dx, dy, frame, emb, orientation, det_invalid) in enumerate(columns):
             if not math.hypot(tx - dx, ty - dy) <= v_max * (frame - end):

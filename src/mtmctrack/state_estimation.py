@@ -8,6 +8,7 @@ trained weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,48 +203,67 @@ def load_mlp_weights(path) -> MlpWeights:
 
     Header line "mlp 14 128 64 128 64 4", then per layer one line
     "layer <in> <out>", <out> rows of <in> weights, one row of <out> biases.
-    Shape mismatches are rejected, and so is a ``_`` on any line.
+    Shape mismatches are rejected, and so is a ``_`` on any line. Each fault
+    is a ParseError naming its line; a line missing at the end is named as
+    the line after the last.
     """
-    tokens_by_line = []
+    lines = []  # (line number, tokens) of every non-blank line
+    last = 0
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for last, line in enumerate(fh, start=1):
             # float() would read "1_0.5" as 10.5.
             if "_" in line:
-                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
+                raise ParseError(f"{path}: line {last}: {UNDERSCORE_ERROR}")
             tokens = line.split()
             if tokens:
-                tokens_by_line.append(tokens)
-    if not tokens_by_line:
-        raise ValueError(f"{path}: empty weight file")
-    header = tokens_by_line[0]
+                lines.append((last, tokens))
+
+    def fault(pos: int, message: str) -> ParseError:
+        lineno = lines[pos][0] if pos < len(lines) else last + 1
+        return ParseError(f"{path}: line {lineno}: {message}")
+
+    def floats(pos: int) -> list[float]:
+        try:
+            values = [float(v) for v in lines[pos][1]]
+        except ValueError as exc:
+            raise fault(pos, str(exc)) from exc
+        if not all(map(math.isfinite, values)):
+            raise fault(pos, "non-finite value")
+        return values
+
+    if not lines:
+        raise fault(0, "empty weight file")
+    header = lines[0][1]
     expected_header = ["mlp"] + [str(n) for n in MLP_LAYER_SIZES]
     if header != expected_header:
-        raise ValueError(
-            f"{path}: bad header {' '.join(header)!r}, "
-            f"expected {' '.join(expected_header)!r}"
+        raise fault(
+            0,
+            f"bad header {' '.join(header)!r}, expected {' '.join(expected_header)!r}",
         )
     pos = 1
     layers = []
     for n_in, n_out in zip(MLP_LAYER_SIZES[:-1], MLP_LAYER_SIZES[1:]):
-        if pos >= len(tokens_by_line) or tokens_by_line[pos][:1] != ["layer"]:
-            raise ValueError(f"{path}: missing 'layer' line for {n_in}->{n_out}")
-        decl = tokens_by_line[pos]
+        if pos >= len(lines) or lines[pos][1][:1] != ["layer"]:
+            raise fault(pos, f"missing 'layer' line for {n_in}->{n_out}")
+        decl = lines[pos][1]
         if decl != ["layer", str(n_in), str(n_out)]:
-            raise ValueError(
-                f"{path}: layer declaration {' '.join(decl)!r} does not match "
-                f"expected {n_in}->{n_out}"
+            raise fault(
+                pos,
+                f"layer declaration {' '.join(decl)!r} does not match "
+                f"expected {n_in}->{n_out}",
             )
         pos += 1
-        rows = tokens_by_line[pos : pos + n_out]
-        if len(rows) < n_out or any(len(r) != n_in for r in rows):
-            raise ValueError(f"{path}: weight block for {n_in}->{n_out} malformed")
-        w = np.array([[float(v) for v in r] for r in rows], dtype=np.float64)
+        rows = lines[pos : pos + n_out]
+        bad = next((k for k, (_, r) in enumerate(rows) if len(r) != n_in), len(rows))
+        if bad < n_out:
+            raise fault(pos + bad, f"weight block for {n_in}->{n_out} malformed")
+        w = np.array([floats(pos + k) for k in range(n_out)], dtype=np.float64)
         pos += n_out
-        if pos >= len(tokens_by_line) or len(tokens_by_line[pos]) != n_out:
-            raise ValueError(f"{path}: bias row for {n_in}->{n_out} malformed")
-        b = np.array([float(v) for v in tokens_by_line[pos]], dtype=np.float64)
+        if pos >= len(lines) or len(lines[pos][1]) != n_out:
+            raise fault(pos, f"bias row for {n_in}->{n_out} malformed")
+        b = np.array(floats(pos), dtype=np.float64)
         pos += 1
         layers.append((w, b))
-    if pos != len(tokens_by_line):
-        raise ValueError(f"{path}: trailing content after last layer")
+    if pos != len(lines):
+        raise fault(pos, "trailing content after last layer")
     return MlpWeights(layers)

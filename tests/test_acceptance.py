@@ -144,23 +144,22 @@ def test_03_cluster_update_invariants():
             changed = len(shadow) - 1
         else:
             dists = [
-                float(np.linalg.norm(c.center - d.embedding))
-                for c in before.cluster_set.clusters
+                float(np.linalg.norm(c.mean - d.embedding)) for c in before.cluster_set
             ]
             changed = int(np.argmin(dists))
             shadow[changed].append(d.embedding)
         if len(F.cluster_set) > cfg.n_c:
             violations += 1
-        cluster = F.cluster_set.clusters[changed]
+        cluster = F.cluster_set[changed]
         scratch = np.mean(np.stack(shadow[changed]), axis=0)
-        if cluster.member_count != len(shadow[changed]):
+        if cluster.count != len(shadow[changed]):
             violations += 1
-        elif np.max(np.abs(cluster.center - scratch)) > 1e-9:
+        elif np.max(np.abs(cluster.mean - scratch)) > 1e-9:
             violations += 1
     # Final full sweep over all clusters.
-    for cluster, members in zip(F.cluster_set.clusters, shadow):
+    for cluster, members in zip(F.cluster_set, shadow):
         scratch = np.mean(np.stack(members), axis=0)
-        if np.max(np.abs(cluster.center - scratch)) > 1e-9:
+        if np.max(np.abs(cluster.mean - scratch)) > 1e-9:
             violations += 1
     _report(3, "online clustering invariants", violations == 0, f"{violations} violations")
 

@@ -230,6 +230,33 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrackerConfig(mu_m=-1)
 
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [
+            # A fractional interval never divides a frame count, so online
+            # clustering would never fire.
+            ("k_interval", 600.5, "an integer"),
+            ("n_c", 1.5, "an integer"),
+            ("mu_m", 2.5, "an integer"),
+            ("theta_valid", True, "an integer"),
+            ("feature_dim", "8", "an integer"),
+            ("v_max", "20", "a number"),
+            ("gamma_valid", False, "a number"),
+            ("theta_mct", None, "a number"),
+            ("use_cluster_feature", 2, "True or False"),
+            ("use_cluster_feature", 1, "True or False"),
+            ("mct_velocity_gate", 0.0, "True or False"),
+            ("use_invalid_feature", np.bool_(True), "True or False"),
+        ],
+    )
+    def test_config_rejects_wrong_kind(self, name, value, kind):
+        with pytest.raises(ValueError, match=f"{name} must be {kind}"):
+            TrackerConfig(**{name: value})
+
+    def test_config_accepts_any_integral_or_real(self):
+        cfg = TrackerConfig(n_c=np.int64(3), v_max=20, gamma_valid=np.float64(0.2))
+        assert (cfg.n_c, cfg.v_max, cfg.gamma_valid) == (3, 20, 0.2)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["v_max", "theta_rectify", "mu_m", "max_gap", "n_c"])
     def test_config_rejects_non_finite(self, name, value):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtmctrack.core import (
     BBox,
@@ -14,15 +15,10 @@ from mtmctrack.core import (
     TrackerConfig,
 )
 from mtmctrack.features import (
-    Cluster,
-    ClusterSet,
     FusedTrackingFeature,
     InvalidSlot,
     MeanSlot,
-    OrientationBank,
     cluster_distance,
-    dist_cluster_sets,
-    dist_orientation_banks,
     expire_invalid,
     rectify_distance,
     replay_feature,
@@ -80,35 +76,41 @@ def det_distance(F, embedding, orientation=Orientation.FRONT, cfg=CFG):
     return compute_distance_matrix([t], [det], cfg)[0, 0]
 
 
-def absorbing_index(before: ClusterSet, after: ClusterSet) -> int:
+def bank(*entries):
+    """An orientation tuple with a one-member slot per ``(orientation, mean)``."""
+    slots = [None] * len(Orientation)
+    for orientation, mean in entries:
+        slots[orientation.value] = MeanSlot(mean, 1)
+    return tuple(slots)
+
+
+def absorbing_index(before, after) -> int:
     """The index of the cluster whose member count grew."""
     grown = [
-        k
-        for k, (b, a) in enumerate(zip(before.clusters, after.clusters))
-        if a.member_count != b.member_count
+        k for k, (b, a) in enumerate(zip(before, after)) if a.count != b.count
     ]
     assert len(grown) == 1
     return grown[0]
 
 
 def norm_argmin(clusters, feature) -> int:
-    return int(np.argmin([np.linalg.norm(c.center - feature) for c in clusters]))
+    return int(np.argmin([np.linalg.norm(c.mean - feature) for c in clusters]))
 
 
 class TestUpdateCluster:
     def test_first_valid_feature_opens_cluster(self):
-        result = update_cluster(ClusterSet(), vec(1, 2), OcclusionStatus.VALID, 4)
+        result = update_cluster((), vec(1, 2), OcclusionStatus.VALID, 4)
         assert len(result) == 1
-        assert np.array_equal(result.clusters[0].center, vec(1, 2))
-        assert result.clusters[0].member_count == 1
+        assert np.array_equal(result[0].mean, vec(1, 2))
+        assert result[0].count == 1
 
     def test_invalid_feature_is_ignored(self):
-        start = update_cluster(ClusterSet(), vec(1), OcclusionStatus.VALID, 4)
+        start = update_cluster((), vec(1), OcclusionStatus.VALID, 4)
         after = update_cluster(start, vec(9), OcclusionStatus.INVALID, 4)
         assert after is start
 
     def test_nearest_cluster_absorbs_at_cap(self):
-        cs = ClusterSet()
+        cs = ()
         anchors = [vec(0), vec(10), vec(20), vec(30)]
         for a in anchors:
             cs = update_cluster(cs, a, OcclusionStatus.VALID, 4)
@@ -117,14 +119,14 @@ class TestUpdateCluster:
         assert len(cs2) == 4
         # Only cluster 2 moved, to the mean of its members.
         for idx in (0, 1, 3):
-            assert np.array_equal(cs2.clusters[idx].center, anchors[idx])
+            assert np.array_equal(cs2[idx].mean, anchors[idx])
         expected = np.mean([anchors[2], newcomer], axis=0)
-        assert np.allclose(cs2.clusters[2].center, expected, atol=1e-9)
-        assert cs2.clusters[2].member_count == 2
+        assert np.allclose(cs2[2].mean, expected, atol=1e-9)
+        assert cs2[2].count == 2
 
     def test_centers_track_shadow_means(self):
         rng = np.random.default_rng(21)
-        cs = ClusterSet()
+        cs = ()
         shadow = []  # member features per cluster
         for _ in range(300):
             f = rng.normal(size=8) * 10
@@ -137,18 +139,18 @@ class TestUpdateCluster:
             if len(before) < 4:
                 shadow.append([f])
             else:
-                dists = [np.linalg.norm(c.center - f) for c in before.clusters]
+                dists = [np.linalg.norm(c.mean - f) for c in before]
                 shadow[int(np.argmin(dists))].append(f)
             assert len(cs) <= 4
-            for cluster, members in zip(cs.clusters, shadow):
-                assert cluster.member_count == len(members)
-                assert np.allclose(cluster.center, np.mean(members, axis=0), atol=1e-9)
+            for cluster, members in zip(cs, shadow):
+                assert cluster.count == len(members)
+                assert np.allclose(cluster.mean, np.mean(members, axis=0), atol=1e-9)
 
     def test_tie_goes_to_lowest_index(self):
-        cs = ClusterSet((Cluster(vec(0), 1), Cluster(vec(2), 1)))
+        cs = (MeanSlot(vec(0), 1), MeanSlot(vec(2), 1))
         out = update_cluster(cs, vec(1), OcclusionStatus.VALID, 2)
-        assert out.clusters[0].member_count == 2
-        assert out.clusters[1].member_count == 1
+        assert out[0].count == 2
+        assert out[1].count == 1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -167,14 +169,14 @@ class TestUpdateCluster:
                 return rng.integers(-2, 3, size=8).astype(np.float64)
             return rng.normal(size=8) * 10
 
-        cs = ClusterSet(tuple(Cluster(draw(), int(rng.integers(1, 4))) for _ in range(n_c)))
+        cs = tuple(MeanSlot(draw(), int(rng.integers(1, 4))) for _ in range(n_c))
         f = draw()
         out = update_cluster(cs, f, OcclusionStatus.VALID, n_c)
-        k = norm_argmin(cs.clusters, f)
+        k = norm_argmin(cs, f)
         assert absorbing_index(cs, out) == k
-        old = cs.clusters[k]
-        expected = (old.center * old.member_count + f) / (old.member_count + 1)
-        assert np.array_equal(out.clusters[k].center, expected)
+        old = cs[k]
+        expected = (old.mean * old.count + f) / (old.count + 1)
+        assert np.array_equal(out[k].mean, expected)
 
     def test_roots_that_round_equal_tie_to_lowest_index(self):
         """Two centers whose squared distances differ by rounding but whose
@@ -190,9 +192,9 @@ class TestUpdateCluster:
             sq_far, sq_near = far.dot(far), near.dot(near)
             if not (sq_near < sq_far and math.sqrt(sq_near) == math.sqrt(sq_far)):
                 continue
-            cs = ClusterSet((Cluster(far, 1), Cluster(near, 1)))
+            cs = (MeanSlot(far, 1), MeanSlot(near, 1))
             out = update_cluster(cs, f, OcclusionStatus.VALID, 2)
-            assert norm_argmin(cs.clusters, f) == 0
+            assert norm_argmin(cs, f) == 0
             assert absorbing_index(cs, out) == 0
             checked += 1
 
@@ -205,8 +207,8 @@ class TestUpdateOnMatch:
         assert np.array_equal(F.avg.mean, vec(5, 5))
         assert F.avg.count == 1
         assert len(F.cluster_set) == 1
-        assert F.orientation_bank.slot(Orientation.LEFT).count == 1
-        assert F.orientation_bank.slot(Orientation.FRONT) is None
+        assert F.orientation_bank[Orientation.LEFT.value].count == 1
+        assert F.orientation_bank[Orientation.FRONT.value] is None
         assert F.invalid is None
 
     def test_invalid_detection_touches_only_invalid_slot(self):
@@ -228,7 +230,7 @@ class TestUpdateOnMatch:
         F = update_on_match(F, FakeDet(u, OcclusionStatus.VALID, Orientation.BACK, 1), CFG)
         F = update_on_match(F, FakeDet(v, OcclusionStatus.VALID, Orientation.BACK, 2), CFG)
         assert np.allclose(F.avg.mean, (u + v) / 2)
-        assert np.allclose(F.orientation_bank.slot(Orientation.BACK).mean, (u + v) / 2)
+        assert np.allclose(F.orientation_bank[Orientation.BACK.value].mean, (u + v) / 2)
         assert np.array_equal(F.current, v)
 
     def test_later_writes_to_the_detection_do_not_reach_the_feature(self):
@@ -240,8 +242,8 @@ class TestUpdateOnMatch:
         invalid.embedding[:] = 99.0
         assert np.array_equal(F.current, vec(2, 1))
         assert np.array_equal(F.avg.mean, vec(2, 1))
-        assert np.array_equal(F.orientation_bank.slot(Orientation.LEFT).mean, vec(2, 1))
-        assert np.array_equal(F.cluster_set.clusters[0].center, vec(2, 1))
+        assert np.array_equal(F.orientation_bank[Orientation.LEFT.value].mean, vec(2, 1))
+        assert np.array_equal(F.cluster_set[0].mean, vec(2, 1))
         assert np.array_equal(F.invalid.feature, vec(4))
 
     def test_valid_match_clears_invalid_slot(self):
@@ -288,71 +290,78 @@ class TestExpireInvalid:
 
 class TestDistances:
     def test_orientation_to_det_same_mean(self):
-        bank = OrientationBank().fold(Orientation.RIGHT, vec(3))
-        F = FusedTrackingFeature(orientation_bank=bank)
+        F = FusedTrackingFeature(orientation_bank=bank((Orientation.RIGHT, vec(3))))
         assert det_distance(F, vec(3), Orientation.RIGHT, ORIENTATION_ONLY) == 0.0
 
     def test_orientation_to_det_empty_slot_forbidden(self):
         # Only the other orientations' slots are filled.
-        bank = OrientationBank()
-        for o in (Orientation.FRONT, Orientation.BACK, Orientation.LEFT):
-            bank = bank.fold(o, vec(3))
-        F = FusedTrackingFeature(orientation_bank=bank)
+        others = (Orientation.FRONT, Orientation.BACK, Orientation.LEFT)
+        F = FusedTrackingFeature(orientation_bank=bank(*((o, vec(3)) for o in others)))
         assert det_distance(F, vec(3), Orientation.RIGHT, ORIENTATION_ONLY) == FORBIDDEN
 
     def test_orientation_to_det_distance(self):
-        bank = OrientationBank().fold(Orientation.FRONT, vec(1, 0))
-        F = FusedTrackingFeature(orientation_bank=bank)
+        F = FusedTrackingFeature(orientation_bank=bank((Orientation.FRONT, vec(1, 0))))
         got = det_distance(F, vec(0, 1), Orientation.FRONT, ORIENTATION_ONLY)
         assert got == float(np.linalg.norm(vec(1, 0) - vec(0, 1)))
         assert got == pytest.approx(np.sqrt(2))
 
+    # The bank cases hold only orientation slots, so cluster_distance reads
+    # the orientation channel alone; the cluster-set cases hold only
+    # clusters, which rectify_distance reads.
     def test_banks_identical(self):
-        bank = OrientationBank().fold(Orientation.FRONT, vec(1)).fold(
-            Orientation.LEFT, vec(2)
+        F = FusedTrackingFeature(
+            orientation_bank=bank((Orientation.FRONT, vec(1)), (Orientation.LEFT, vec(2)))
         )
-        assert dist_orientation_banks(bank, bank) == 0.0
+        assert cluster_distance(F, F, CFG) == 0.0
 
     def test_banks_disjoint_forbidden(self):
-        a = OrientationBank().fold(Orientation.FRONT, vec(1))
-        b = OrientationBank().fold(Orientation.BACK, vec(1))
-        assert dist_orientation_banks(a, b) == FORBIDDEN
+        a = FusedTrackingFeature(orientation_bank=bank((Orientation.FRONT, vec(1))))
+        b = FusedTrackingFeature(orientation_bank=bank((Orientation.BACK, vec(1))))
+        assert cluster_distance(a, b, CFG) == FORBIDDEN
 
     def test_banks_minimum_over_common(self):
-        a = OrientationBank().fold(Orientation.FRONT, vec(0)).fold(Orientation.LEFT, vec(0))
-        b = OrientationBank().fold(Orientation.FRONT, vec(5)).fold(Orientation.LEFT, vec(2))
-        assert dist_orientation_banks(a, b) == pytest.approx(2.0)
+        a = FusedTrackingFeature(
+            orientation_bank=bank((Orientation.FRONT, vec(0)), (Orientation.LEFT, vec(0)))
+        )
+        b = FusedTrackingFeature(
+            orientation_bank=bank((Orientation.FRONT, vec(5)), (Orientation.LEFT, vec(2)))
+        )
+        assert cluster_distance(a, b, CFG) == pytest.approx(2.0)
 
     def test_cluster_sets_equal_centers(self):
-        a = ClusterSet((Cluster(vec(1), 1),))
-        assert dist_cluster_sets(a, a) == 0.0
+        a = FusedTrackingFeature(cluster_set=(MeanSlot(vec(1), 1),))
+        assert rectify_distance(a, a, CFG) == 0.0
 
     def test_cluster_sets_empty_forbidden(self):
-        assert dist_cluster_sets(ClusterSet(), ClusterSet((Cluster(vec(1), 1),))) == FORBIDDEN
+        b = FusedTrackingFeature(cluster_set=(MeanSlot(vec(1), 1),))
+        assert rectify_distance(FusedTrackingFeature(), b, CFG) == FORBIDDEN
 
     def test_cluster_sets_pairwise_minimum(self):
         # Pairwise distances {3, 1, 3, 7} on one axis; the minimum wins.
-        a = ClusterSet((Cluster(vec(0), 1), Cluster(vec(6), 1)))
-        b = ClusterSet((Cluster(vec(3), 1), Cluster(vec(-1), 1)))
+        a = FusedTrackingFeature(cluster_set=(MeanSlot(vec(0), 1), MeanSlot(vec(6), 1)))
+        b = FusedTrackingFeature(cluster_set=(MeanSlot(vec(3), 1), MeanSlot(vec(-1), 1)))
         oracle = min(
             abs(x - y) for x in (0.0, 6.0) for y in (3.0, -1.0)
         )
-        assert dist_cluster_sets(a, b) == oracle == 1.0
+        assert rectify_distance(a, b, CFG) == oracle == 1.0
 
     def test_cluster_sets_symmetric(self):
         rng = np.random.default_rng(22)
-        a = ClusterSet(tuple(Cluster(rng.normal(size=8), 1) for _ in range(3)))
-        b = ClusterSet(tuple(Cluster(rng.normal(size=8), 1) for _ in range(2)))
-        assert dist_cluster_sets(a, b) == pytest.approx(dist_cluster_sets(b, a))
+        a = FusedTrackingFeature(
+            cluster_set=tuple(MeanSlot(rng.normal(size=8), 1) for _ in range(3))
+        )
+        b = FusedTrackingFeature(
+            cluster_set=tuple(MeanSlot(rng.normal(size=8), 1) for _ in range(2))
+        )
+        assert rectify_distance(a, b, CFG) == pytest.approx(rectify_distance(b, a, CFG))
 
     def test_cluster_to_det(self):
-        cs = ClusterSet((Cluster(vec(6), 1), Cluster(vec(2), 1), Cluster(vec(9), 1)))
+        cs = (MeanSlot(vec(6), 1), MeanSlot(vec(2), 1), MeanSlot(vec(9), 1))
         got = det_distance(FusedTrackingFeature(cluster_set=cs), vec(0), cfg=CLUSTER_ONLY)
         assert got == 2.0
-        empty = FusedTrackingFeature(cluster_set=ClusterSet())
+        empty = FusedTrackingFeature(cluster_set=())
         assert det_distance(empty, vec(0), cfg=CLUSTER_ONLY) == FORBIDDEN
-        one = ClusterSet((Cluster(vec(4), 1),))
-        F = FusedTrackingFeature(cluster_set=one)
+        F = FusedTrackingFeature(cluster_set=(MeanSlot(vec(4), 1),))
         assert det_distance(F, vec(4), cfg=CLUSTER_ONLY) == 0.0
 
 
@@ -367,11 +376,11 @@ class TestPairDistance:
     def test_cluster_mode_takes_minimum(self):
         a = FusedTrackingFeature(
             avg=MeanSlot(vec(0), 1),
-            orientation_bank=OrientationBank().fold(Orientation.FRONT, vec(0)),
+            orientation_bank=bank((Orientation.FRONT, vec(0))),
         )
         b = FusedTrackingFeature(
             avg=MeanSlot(vec(8), 1),
-            orientation_bank=OrientationBank().fold(Orientation.FRONT, vec(3)),
+            orientation_bank=bank((Orientation.FRONT, vec(3))),
         )
         assert cluster_distance(a, b, CFG) == pytest.approx(3.0)
 
@@ -384,11 +393,11 @@ class TestPairDistance:
 
     def test_cluster_mode_absent_avg_uses_orientation(self):
         a = FusedTrackingFeature(
-            orientation_bank=OrientationBank().fold(Orientation.LEFT, vec(1))
+            orientation_bank=bank((Orientation.LEFT, vec(1)))
         )
         b = FusedTrackingFeature(
             avg=MeanSlot(vec(0), 3),
-            orientation_bank=OrientationBank().fold(Orientation.LEFT, vec(2)),
+            orientation_bank=bank((Orientation.LEFT, vec(2))),
         )
         assert cluster_distance(a, b, CFG) == pytest.approx(1.0)
 
@@ -397,6 +406,71 @@ class TestPairDistance:
             cluster_distance(FusedTrackingFeature(), FusedTrackingFeature(), CFG)
             == FORBIDDEN
         )
+
+
+def fold_steps(steps, n_c):
+    """The fused feature of ``(valid, orientation, embedding)`` steps, one per
+    frame, folded with ``update_on_match``."""
+    cfg = TrackerConfig(feature_dim=4, n_c=n_c)
+    F = FusedTrackingFeature()
+    for frame, (valid, orientation, embedding) in enumerate(steps):
+        status = OcclusionStatus.VALID if valid else OcclusionStatus.INVALID
+        F = update_on_match(F, FakeDet(embedding, status, orientation, frame), cfg)
+    return F
+
+
+def reference_rule_distances(a, b, cfg):
+    """Rectify and cluster distances written out: the minimum per-pair norm
+    over each rule's pairs, or FORBIDDEN when the rule has no pair."""
+
+    def norm(u, v):
+        return float(np.linalg.norm(u - v))
+
+    rectify_pairs = []
+    if cfg.use_cluster_feature:
+        rectify_pairs = [norm(ca.mean, cb.mean) for ca in a.cluster_set for cb in b.cluster_set]
+    cluster_pairs = []
+    if a.avg is not None and b.avg is not None:
+        cluster_pairs.append(norm(a.avg.mean, b.avg.mean))
+    if cfg.use_orientation_feature:
+        for o in Orientation:
+            sa, sb = a.orientation_bank[o.value], b.orientation_bank[o.value]
+            if sa is not None and sb is not None:
+                cluster_pairs.append(norm(sa.mean, sb.mean))
+    return min(rectify_pairs, default=FORBIDDEN), min(cluster_pairs, default=FORBIDDEN)
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(list(Orientation)),
+        st.lists(st.integers(-3, 3).map(float) | st.floats(-10, 10), min_size=4, max_size=4),
+    ),
+    max_size=12,
+)
+FRONT_ONLY = [(True, Orientation.FRONT, [1.0, 0.0, 0.0, 0.0])]
+INVALID_ONLY = [(False, Orientation.BACK, [2.0, 0.0, 0.0, 0.0])]
+
+
+class TestRuleDistanceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(steps_a=STEPS, steps_b=STEPS, n_c=st.integers(1, 3))
+    # No observation at all, and only an invalid one: no avg, no cluster,
+    # every orientation slot empty.
+    @example(steps_a=[], steps_b=FRONT_ONLY, n_c=2)
+    @example(steps_a=INVALID_ONLY, steps_b=FRONT_ONLY, n_c=1)
+    @example(steps_a=FRONT_ONLY, steps_b=[(True, Orientation.LEFT, [0.0] * 4)], n_c=1)
+    def test_rule_distances_match_reference(self, steps_a, steps_b, n_c):
+        a, b = fold_steps(steps_a, n_c), fold_steps(steps_b, n_c)
+        for use_orientation, use_cluster in itertools.product((False, True), repeat=2):
+            cfg = TrackerConfig(
+                feature_dim=4,
+                use_orientation_feature=use_orientation,
+                use_cluster_feature=use_cluster,
+            )
+            rectify_ref, cluster_ref = reference_rule_distances(a, b, cfg)
+            assert rectify_distance(a, b, cfg) == rectify_ref
+            assert cluster_distance(a, b, cfg) == cluster_ref
 
 
 class TestInvariants:
@@ -429,15 +503,13 @@ class TestInvariants:
             if len(shadow_clusters) < CFG.n_c:
                 shadow_clusters.append([f])
             else:
-                dists = [
-                    np.linalg.norm(c.center - f) for c in before.cluster_set.clusters
-                ]
+                dists = [np.linalg.norm(c.mean - f) for c in before.cluster_set]
                 shadow_clusters[int(np.argmin(dists))].append(f)
             assert len(F.cluster_set) <= CFG.n_c
         assert np.allclose(F.avg.mean, np.mean(valid_feats, axis=0), atol=1e-9)
         assert F.avg.count == len(valid_feats)
         for o in Orientation:
-            slot = F.orientation_bank.slot(o)
+            slot = F.orientation_bank[o.value]
             if not by_orientation[o]:
                 assert slot is None
             else:
@@ -445,9 +517,9 @@ class TestInvariants:
                 assert np.allclose(
                     slot.mean, np.mean(by_orientation[o], axis=0), atol=1e-9
                 )
-        for cluster, members in zip(F.cluster_set.clusters, shadow_clusters):
-            assert cluster.member_count == len(members)
-            assert np.allclose(cluster.center, np.mean(members, axis=0), atol=1e-9)
+        for cluster, members in zip(F.cluster_set, shadow_clusters):
+            assert cluster.count == len(members)
+            assert np.allclose(cluster.mean, np.mean(members, axis=0), atol=1e-9)
 
     def test_single_cluster_degenerates_to_avg(self):
         rng = np.random.default_rng(24)
@@ -461,8 +533,8 @@ class TestInvariants:
                 F, FakeDet(rng.normal(size=8), status, frame=step), cfg
             )
         assert len(F.cluster_set) == 1
-        assert np.allclose(F.cluster_set.clusters[0].center, F.avg.mean, atol=1e-9)
-        assert F.cluster_set.clusters[0].member_count == F.avg.count
+        assert np.allclose(F.cluster_set[0].mean, F.avg.mean, atol=1e-9)
+        assert F.cluster_set[0].count == F.avg.count
 
 
 class TestReplay:
@@ -488,7 +560,7 @@ class TestReplay:
             incremental.avg.mean.tolist(),
         )
         for o in Orientation:
-            s1, s2 = replayed.orientation_bank.slot(o), incremental.orientation_bank.slot(o)
+            s1, s2 = replayed.orientation_bank[o.value], incremental.orientation_bank[o.value]
             assert (s1 is None) == (s2 is None)
             if s1 is not None:
                 assert np.array_equal(s1.mean, s2.mean)

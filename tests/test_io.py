@@ -490,6 +490,34 @@ class TestConfigFile:
         path.write_text(config_as_text(cfg))
         assert load_config(path) == cfg
 
+    # Every value TrackerConfig accepts, except integers past 2**53 in a
+    # float field: the file holds one number per field and a float field
+    # reads it as a double.
+    ACCEPTED = st.fixed_dictionaries(
+        {
+            **{key: st.integers(1, 2**70) for key in INT_FIELDS},
+            "theta_valid": st.integers(1, 16),
+            **{key: st.booleans() for key in SWITCHES},
+            **{
+                key: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                | st.integers(1, 2**53)
+                for key in FLOAT_FIELDS
+            },
+        }
+    )
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(values=ACCEPTED)
+    def test_every_accepted_config_round_trips(self, tmp_path, values):
+        cfg = TrackerConfig(**values)
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_as_text(cfg))
+        assert load_config(path) == cfg
+
 
 class TestCli:
     def test_eval_identical_files(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from mtmctrack.core import (
     Orientation,
     TrackerConfig,
 )
-from mtmctrack.features import MeanSlot, OrientationBank, replay_feature
+from mtmctrack.features import MeanSlot, replay_feature
 from mtmctrack.mct import (
     Trajectory,
     TrajectorySegment,
@@ -72,17 +72,17 @@ class TestBuildMatrix:
     def test_minimum_of_avg_and_orientation(self):
         a = traj(1, 0, range(0, 5), vec(1.0))
         b = traj(2, 1, range(10, 15), vec(1.0))
-        # Force d_avg = 35 and d_ori = 25 artificially.
+        # Force d_avg = 35 and d_ori = 25 artificially, in the FRONT slot.
         a.fused = a.fused.__class__(
             current=a.fused.current,
-            orientation_bank=OrientationBank().fold(Orientation.FRONT, vec(0.0)),
+            orientation_bank=(MeanSlot(vec(0.0), 1), None, None, None),
             cluster_set=a.fused.cluster_set,
             invalid=None,
             avg=MeanSlot(vec(0.0), 1),
         )
         b.fused = b.fused.__class__(
             current=b.fused.current,
-            orientation_bank=OrientationBank().fold(Orientation.FRONT, vec(25.0)),
+            orientation_bank=(MeanSlot(vec(25.0), 1), None, None, None),
             cluster_set=b.fused.cluster_set,
             invalid=None,
             avg=MeanSlot(vec(0.0, 35.0), 1),

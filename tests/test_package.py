@@ -54,15 +54,21 @@ def test_third_party_imports_are_declared_dependencies():
     assert sorted(third_party - declared) == []
 
 
-def test_every_top_level_name_is_used():
-    # A name counts as used when its word appears anywhere besides its own
-    # definition: the benchmark's tracer names the layers it wraps in strings.
+def source_words():
+    """Every Python source under src, tests and perfbench, and the count of
+    each word in them. A name counts as used when its word appears anywhere
+    besides its own definition: the benchmark's tracer names the layers it
+    wraps in strings."""
     sources = {
         path: path.read_text()
         for folder in ("src", "tests", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
-    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+    return sources, Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+
+
+def test_every_top_level_name_is_used():
+    sources, words = source_words()
     unused = []
     for path in sorted((ROOT / "src" / "mtmctrack").glob("*.py")):
         for node in ast.parse(sources[path], filename=str(path)).body:
@@ -79,6 +85,24 @@ def test_every_top_level_name_is_used():
                 f"{path.name}: {name}"
                 for name in names
                 if words[name] <= 1 and name not in mtmctrack.__all__
+            ]
+    assert unused == []
+
+
+def test_every_public_method_is_used():
+    # Methods and properties of every class, by the same word count.
+    sources, words = source_words()
+    unused = []
+    for path in sorted((ROOT / "src" / "mtmctrack").glob("*.py")):
+        for cls in ast.walk(ast.parse(sources[path], filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unused += [
+                f"{path.name}: {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and words[node.name] <= 1
             ]
     assert unused == []
 

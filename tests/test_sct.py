@@ -16,11 +16,9 @@ from mtmctrack.core import (
     center_distance,
 )
 from mtmctrack.features import (
-    Cluster,
-    ClusterSet,
     FusedTrackingFeature,
     InvalidSlot,
-    OrientationBank,
+    MeanSlot,
     replay_feature,
 )
 from mtmctrack.sct import (
@@ -136,11 +134,11 @@ def reference_matrix(tracklets, dets, cfg):
             if F.current is not None:
                 channels.append(F.current)
             if cfg.use_orientation_feature:
-                slot = F.orientation_bank.slot(d.orientation)
+                slot = F.orientation_bank[d.orientation.value]
                 if slot is not None:
                     channels.append(slot.mean)
             if cfg.use_cluster_feature:
-                channels.extend(c.center for c in F.cluster_set.clusters)
+                channels.extend(c.mean for c in F.cluster_set)
             if (
                 cfg.use_invalid_feature
                 and F.invalid is not None
@@ -248,12 +246,9 @@ class TestDistanceMatrixOracle:
         t = tracklet_from_dets(1, [det(0, emb=vec(1.0))])
         odd = [
             FusedTrackingFeature(current=vec(3.0), invalid=InvalidSlot(vec(0.5), 0)),
-            FusedTrackingFeature(
-                cluster_set=ClusterSet((Cluster(vec(2.0), 1), Cluster(vec(-1.0), 3)))
-            ),
-            FusedTrackingFeature(
-                orientation_bank=OrientationBank().fold(Orientation.LEFT, vec(0.25))
-            ),
+            FusedTrackingFeature(cluster_set=(MeanSlot(vec(2.0), 1), MeanSlot(vec(-1.0), 3))),
+            # Only the LEFT slot is filled.
+            FusedTrackingFeature(orientation_bank=(None, None, MeanSlot(vec(0.25), 1), None)),
         ]
         tracklets = [copy.copy(t) for _ in odd]
         for tr, F in zip(tracklets, odd):
@@ -615,8 +610,8 @@ class TestRectify:
         assert np.array_equal(merged.fused.current, expected.current)
         assert np.array_equal(merged.fused.avg.mean, expected.avg.mean)
         assert len(merged.fused.cluster_set) == len(expected.cluster_set)
-        for c1, c2 in zip(merged.fused.cluster_set.clusters, expected.cluster_set.clusters):
-            assert np.array_equal(c1.center, c2.center)
+        for c1, c2 in zip(merged.fused.cluster_set, expected.cluster_set):
+            assert np.array_equal(c1.mean, c2.mean)
 
 
 class TestClusterTracklets:

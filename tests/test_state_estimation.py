@@ -269,6 +269,69 @@ class TestWeightFile:
         with pytest.raises(ParseError, match="line 3: '_' is not allowed"):
             load_mlp_weights(path)
 
+    # Each fault as an edit of a valid file's lines (0-based), the line the
+    # error must name and its message. Line 1 is the header, line 2 the
+    # first layer's declaration, lines 3-130 its 128 weight rows and line 131
+    # its bias row.
+    FAULTS = {
+        "header": (lambda ls: ["mlp 14 128 64 4"] + ls[1:], 1, "bad header"),
+        "declaration": (
+            lambda ls: ls[:1] + ["layer 14 129"] + ls[2:],
+            2,
+            "layer declaration 'layer 14 129' does not match expected 14->128",
+        ),
+        "missing declaration": (
+            lambda ls: ls[:1] + ls[2:], 2, "missing 'layer' line for 14->128"
+        ),
+        "weight row too long": (
+            lambda ls: ls[:5] + [ls[5] + " 0.5"] + ls[6:],
+            6,
+            "weight block for 14->128 malformed",
+        ),
+        "bias row too short": (
+            lambda ls: ls[:130] + [ls[130].rsplit(" ", 1)[0]] + ls[131:],
+            131,
+            "bias row for 14->128 malformed",
+        ),
+        "not a number": (
+            lambda ls: ls[:3] + ["x" + ls[3]] + ls[4:],
+            4,
+            "could not convert string to float: 'x",
+        ),
+        # Blank lines are skipped but still counted.
+        "not a number after a blank line": (
+            lambda ls: ls[:1] + [""] + ls[1:3] + ["x" + ls[3]] + ls[4:],
+            5,
+            "could not convert string to float: 'x",
+        ),
+        # float() reads "nan" and "inf" as numbers.
+        "non-finite": (
+            lambda ls: ls[:40] + ["nan " + ls[40].split(" ", 1)[1]] + ls[41:],
+            41,
+            "non-finite value",
+        ),
+        "trailing content": (
+            lambda ls: ls + ["", "0.5"], None, "trailing content after last layer"
+        ),
+        "truncated inside a block": (
+            lambda ls: ls[:50], 51, "weight block for 14->128 malformed"
+        ),
+        "empty": (lambda ls: [], 1, "empty weight file"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_names_its_line(self, tmp_path, fault):
+        edit, lineno, message = self.FAULTS[fault]
+        path = tmp_path / "fault.weights"
+        save_mlp_weights(path, MlpWeights.random(np.random.default_rng(17)))
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        if lineno is None:  # the last line
+            lineno = len(lines)
+        with pytest.raises(ParseError) as info:
+            load_mlp_weights(path)
+        assert str(info.value).startswith(f"{path}: line {lineno}: {message}")
+
     def test_rejects_truncated_file(self, tmp_path):
         rng = np.random.default_rng(15)
         weights = MlpWeights.random(rng)
