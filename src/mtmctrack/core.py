@@ -190,11 +190,21 @@ class TrackerConfig:
             if f.type == "bool":
                 if value is not True and value is not False:
                     raise ValueError(f"{f.name} must be True or False, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(
+                continue
+            if isinstance(value, bool) or not isinstance(
                 value, numbers.Integral if f.type == "int" else numbers.Real
             ):
                 kind = "an integer" if f.type == "int" else "a number"
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{f.name} must be finite, got a value past the double range"
+                ) from None
+            # A float field holds a double, so the config's text reads back equal.
+            if f.type == "float":
+                setattr(self, f.name, number)
         positive = [
             ("gamma_valid", self.gamma_valid),
             ("theta_valid", self.theta_valid),

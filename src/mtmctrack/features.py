@@ -99,8 +99,8 @@ def update_cluster(
 def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTrackingFeature:
     """Fold one matched detection into the fused feature.
 
-    ``det`` needs ``embedding``, ``occlusion``, ``orientation`` and ``frame``
-    attributes; both detections and stored observation records qualify.
+    ``det`` is a detection with populated state: anything with
+    ``embedding``, ``occlusion``, ``orientation`` and ``frame`` attributes.
     The embedding is copied once; the parts of the new feature share that
     copy, which is safe because no update writes into an array.
     """

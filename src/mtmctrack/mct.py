@@ -12,30 +12,32 @@ are never altered; association only relabels them.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     BBox,
+    DetectionObservation,
     FORBIDDEN,
     TrackRow,
     TrackerConfig,
     forbidden_matrix,
 )
 from .features import FusedTrackingFeature, cluster_distance, replay_feature
-from .sct import ObsRecord, physical_constraints_ok
+from .sct import physical_constraints_ok
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class TrajectorySegment:
-    """One camera's contiguous contribution to a trajectory."""
+    """One camera's contiguous contribution to a trajectory: the matched
+    detections, in frame order."""
 
     camera_id: int
     source_id: int
-    observations: list[ObsRecord]
+    observations: list[DetectionObservation]
 
     @property
     def start_frame(self) -> int:
@@ -48,57 +50,41 @@ class TrajectorySegment:
 
 @dataclass
 class Trajectory:
-    """A merged identity, possibly spanning cameras."""
+    """A merged identity, possibly spanning cameras; its segments are in
+    time order and never overlap."""
 
     global_id: int
     segments: list[TrajectorySegment]
     fused: FusedTrackingFeature
-    cameras: set[int] = field(default_factory=set)
 
     def __post_init__(self):
-        if not self.cameras:
-            self.cameras = {s.camera_id for s in self.segments}
-        self._check_no_same_camera_overlap()
-
-    def _check_no_same_camera_overlap(self):
-        by_cam: dict[int, list[TrajectorySegment]] = {}
-        for s in self.segments:
-            by_cam.setdefault(s.camera_id, []).append(s)
-        for cam, segs in by_cam.items():
-            segs = sorted(segs, key=lambda s: s.start_frame)
-            for a, b in zip(segs, segs[1:]):
-                if b.start_frame <= a.end_frame:
-                    raise ValueError(
-                        f"trajectory {self.global_id}: overlapping segments "
-                        f"in camera {cam}"
-                    )
+        for a, b in zip(self.segments, self.segments[1:]):
+            if b.start_frame <= a.end_frame:
+                raise ValueError(
+                    f"trajectory {self.global_id}: segments out of time order or "
+                    f"overlapping (camera {a.camera_id} ends at frame {a.end_frame}, "
+                    f"camera {b.camera_id} starts at frame {b.start_frame})"
+                )
 
     @property
-    def _ordered_obs(self) -> list[tuple[int, int, ObsRecord]]:
-        out = [
-            (o.frame, s.camera_id, o) for s in self.segments for o in s.observations
-        ]
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+    def cameras(self) -> set[int]:
+        return {s.camera_id for s in self.segments}
 
     @property
     def start_frame(self) -> int:
-        return min(s.start_frame for s in self.segments)
+        return self.segments[0].start_frame
 
     @property
     def end_frame(self) -> int:
-        return max(s.end_frame for s in self.segments)
+        return self.segments[-1].end_frame
 
     @property
     def first_bbox(self) -> BBox:
-        return self._ordered_obs[0][2].bbox
+        return self.segments[0].observations[0].bbox
 
     @property
     def last_bbox(self) -> BBox:
-        return self._ordered_obs[-1][2].bbox
-
-    def all_observations(self) -> list[ObsRecord]:
-        return [o for _, _, o in self._ordered_obs]
+        return self.segments[-1].observations[-1].bbox
 
     def rows(self) -> list[TrackRow]:
         return [
@@ -172,13 +158,10 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
             raise ValueError(
                 f"trajectories {dst.global_id} and {src.global_id} overlap in time"
             )
-        fused = replay_feature(later.all_observations(), cfg, earlier.fused)
-        dst.segments = sorted(
-            dst.segments + src.segments, key=lambda s: (s.start_frame, s.camera_id)
+        dst.fused = replay_feature(
+            [o for s in later.segments for o in s.observations], cfg, earlier.fused
         )
-        dst.cameras |= src.cameras
-        dst._check_no_same_camera_overlap()
-        dst.fused = fused
+        dst.segments = earlier.segments + later.segments
         alive[j] = False
         m[j, :] = FORBIDDEN
         m[:, j] = FORBIDDEN

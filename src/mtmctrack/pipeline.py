@@ -23,7 +23,7 @@ from .fileio import (
 )
 from .mct import Trajectory, TrajectorySegment, assign_global_ids, run_mct
 from .features import replay_feature
-from .sct import ObsRecord, run_sct
+from .sct import run_sct
 from .state_estimation import OrientationEstimator, populate_state
 from .synth import ScenarioSpec, generate_scenario, scenario_presets
 
@@ -98,7 +98,7 @@ def trajectories_from_rows(
         key = (det.camera_id, det.frame, det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h)
         lookup.setdefault(key, det)
 
-    grouped: dict[tuple[int, int], list[ObsRecord]] = {}
+    grouped: dict[tuple[int, int], list[DetectionObservation]] = {}
     for row in sorted(rows, key=lambda r: r.sort_key()):
         key = (row.camera_id, row.frame, row.bbox.x, row.bbox.y, row.bbox.w, row.bbox.h)
         det = lookup.get(key)
@@ -107,9 +107,7 @@ def trajectories_from_rows(
                 f"track row (camera {row.camera_id}, frame {row.frame}, "
                 f"id {row.identity}) has no matching detection"
             )
-        grouped.setdefault((row.camera_id, row.identity), []).append(
-            ObsRecord.from_detection(det)
-        )
+        grouped.setdefault((row.camera_id, row.identity), []).append(det)
 
     trajs = []
     for cam, ident in sorted(grouped):

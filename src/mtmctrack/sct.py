@@ -25,7 +25,6 @@ from .core import (
     DetectionObservation,
     FORBIDDEN,
     OcclusionStatus,
-    Orientation,
     TrackRow,
     TrackerConfig,
     center_distance,
@@ -52,42 +51,21 @@ class TrackingPhase(Enum):
     DISAPPEARED = "disappeared"
 
 
-@dataclass(frozen=True)
-class ObsRecord:
-    """One matched detection as stored in a tracklet's history.
-
-    Embeddings are retained because merged tracklets rebuild their fused
-    feature by replaying history.
-    """
-
-    frame: int
-    bbox: BBox
-    det_confidence: float
-    occlusion: OcclusionStatus
-    orientation: Orientation
-    embedding: np.ndarray
-
-    @classmethod
-    def from_detection(cls, det: DetectionObservation) -> "ObsRecord":
-        return cls(
-            frame=det.frame,
-            bbox=det.bbox,
-            det_confidence=det.det_confidence,
-            occlusion=det.occlusion,
-            orientation=det.orientation,
-            embedding=np.asarray(det.embedding, dtype=np.float64),
-        )
-
-
 @dataclass
 class Tracklet:
-    """One identity hypothesis within a single camera."""
+    """One identity hypothesis within a single camera.
+
+    ``observations`` are the matched detections themselves, in frame order,
+    not copies: a detection must not change once it is passed to
+    ``step_frame``. Merged tracklets rebuild their fused feature by
+    replaying them.
+    """
 
     id: int
     camera_id: int
     phase: TrackingPhase
     fused: FusedTrackingFeature
-    observations: list[ObsRecord]
+    observations: list[DetectionObservation]
     miss_count: int = 0
     ever_confirmed: bool = False
 
@@ -116,7 +94,7 @@ class Tracklet:
                 f"tracklet {self.id}: observation frames must strictly increase "
                 f"({det.frame} after {self.end_frame})"
             )
-        self.observations.append(ObsRecord.from_detection(det))
+        self.observations.append(det)
 
 
 @dataclass
@@ -262,7 +240,7 @@ def init_tracklet(det: DetectionObservation, state: CameraTrackerState) -> Track
         camera_id=det.camera_id,
         phase=phase,
         fused=update_on_match(FusedTrackingFeature(), det, state.cfg),
-        observations=[ObsRecord.from_detection(det)],
+        observations=[det],
         ever_confirmed=phase is TrackingPhase.CONFIRMED,
     )
     state.next_id += 1

@@ -207,7 +207,7 @@ def test_05_phase_machine_enumeration():
 
     def fresh(phase):
         from mtmctrack.features import FusedTrackingFeature
-        from mtmctrack.sct import ObsRecord
+        from mtmctrack.core import DetectionObservation
 
         return Tracklet(
             id=1,
@@ -215,8 +215,9 @@ def test_05_phase_machine_enumeration():
             phase=phase,
             fused=FusedTrackingFeature(),
             observations=[
-                ObsRecord(0, BBox(0, 0, 1, 1), 1.0, OcclusionStatus.VALID,
-                          Orientation.FRONT, np.zeros(4))
+                DetectionObservation(0, 0, BBox(0, 0, 1, 1), 1.0,
+                                     PoseKeypoints(np.zeros((17, 3))), np.zeros(4),
+                                     OcclusionStatus.VALID, Orientation.FRONT)
             ],
         )
 

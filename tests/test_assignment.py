@@ -10,6 +10,18 @@ from mtmctrack.assignment import AssignmentResult, greedy_associate, hungarian
 from mtmctrack.core import FORBIDDEN
 
 
+@st.composite
+def costs_and_nan_cell(draw, cost, max_side):
+    """A cost matrix of drawn shape and entries with a drawn set of
+    forbidden cells, and the (row, column) of a cell to overwrite with NaN."""
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cells = st.lists(cost, min_size=rows * cols, max_size=rows * cols)
+    m = np.array(draw(cells), dtype=float).reshape(rows, cols)
+    mask = st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)
+    m[np.array(draw(mask)).reshape(rows, cols)] = FORBIDDEN
+    return m, (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+
+
 def brute_force_min_cost(matrix):
     """Exhaustive minimum over all maximal feasible matchings; forbidden
     entries are excluded, larger matchings beat cheaper smaller ones."""
@@ -214,19 +226,18 @@ class TestHungarian:
         with pytest.raises(ValueError, match=message):
             hungarian(np.array(matrix))
 
-    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):
-        rng = np.random.default_rng(37)
-        for _ in range(100):
-            rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
-            m = rng.integers(0, 20, size=(rows, cols)).astype(float)
-            m[rng.random(size=(rows, cols)) < 0.3] = FORBIDDEN
-            result = hungarian(m)
-            oracle_cost, oracle_size = brute_force_min_cost(m)
-            assert len(result.matched_pairs) == oracle_size
-            assert sum(m[r, c] for r, c in result.matched_pairs) == oracle_cost
-            m[rng.integers(0, rows), rng.integers(0, cols)] = np.nan
-            with pytest.raises(ValueError):
-                hungarian(m)
+    # Integer costs, so the oracle's sum and the solver's are exact.
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=costs_and_nan_cell(st.integers(0, 19).map(float), max_side=5))
+    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self, drawn):
+        m, nan_cell = drawn
+        result = hungarian(m)
+        oracle_cost, oracle_size = brute_force_min_cost(m)
+        assert len(result.matched_pairs) == oracle_size
+        assert sum(m[r, c] for r, c in result.matched_pairs) == oracle_cost
+        m[nan_cell] = np.nan
+        with pytest.raises(ValueError):
+            hungarian(m)
 
 
 class TestGreedyAssociate:
@@ -284,13 +295,12 @@ class TestGreedyAssociate:
         with pytest.raises(ValueError, match="NaN"):
             greedy_associate(m, 3.0)
 
-    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self):
-        rng = np.random.default_rng(38)
-        for _ in range(100):
-            m = rng.uniform(0, 10, size=(4, 5))
-            m[rng.random(size=(4, 5)) < 0.3] = FORBIDDEN
-            picks = greedy_associate(m, 6.0)
-            assert all(np.isfinite(m[r, c]) and m[r, c] <= 6.0 for r, c in picks)
-            m[rng.integers(0, 4), rng.integers(0, 5)] = np.nan
-            with pytest.raises(ValueError):
-                greedy_associate(m, 6.0)
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=costs_and_nan_cell(st.floats(0.0, 10.0), max_side=6))
+    def test_nan_rejected_wherever_it_sits_and_inf_still_forbidden(self, drawn):
+        m, nan_cell = drawn
+        picks = greedy_associate(m, 6.0)
+        assert all(np.isfinite(m[r, c]) and m[r, c] <= 6.0 for r, c in picks)
+        m[nan_cell] = np.nan
+        with pytest.raises(ValueError):
+            greedy_associate(m, 6.0)

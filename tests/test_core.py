@@ -257,6 +257,18 @@ class TestTypes:
         cfg = TrackerConfig(n_c=np.int64(3), v_max=20, gamma_valid=np.float64(0.2))
         assert (cfg.n_c, cfg.v_max, cfg.gamma_valid) == (3, 20, 0.2)
 
+    @pytest.mark.parametrize("name", ["mu_d", "theta_mct", "n_c", "gamma_valid", "feature_dim"])
+    def test_config_rejects_number_past_double_range(self, name):
+        # float() of such an integer raises OverflowError; a config file
+        # holding the same literal is rejected as non-finite.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrackerConfig(**{name: 10**400})
+
+    def test_config_float_field_holds_a_double(self):
+        cfg = TrackerConfig(theta_mct=2**53 + 1, v_max=20, gamma_valid=np.float32(0.5))
+        assert [type(v) for v in (cfg.theta_mct, cfg.v_max, cfg.gamma_valid)] == [float] * 3
+        assert (cfg.theta_mct, cfg.v_max, cfg.gamma_valid) == (2.0**53, 20.0, 0.5)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["v_max", "theta_rectify", "mu_m", "max_gap", "n_c"])
     def test_config_rejects_non_finite(self, name, value):

@@ -25,7 +25,7 @@ from mtmctrack.features import (
     update_cluster,
     update_on_match,
 )
-from mtmctrack.sct import ObsRecord, Tracklet, TrackingPhase, compute_distance_matrix
+from mtmctrack.sct import Tracklet, TrackingPhase, compute_distance_matrix
 
 
 class FakeDet:
@@ -61,7 +61,10 @@ def det_distance(F, embedding, orientation=Orientation.FRONT, cfg=CFG):
     """The tracklet-detection distance of a tracklet holding ``F`` to a
     valid detection one frame later at the same place."""
     box = BBox(0.0, 0.0, 10.0, 20.0)
-    record = ObsRecord(0, box, 1.0, OcclusionStatus.VALID, orientation, vec(0))
+    record = DetectionObservation(
+        0, 0, box, 1.0, PoseKeypoints(np.full((17, 3), 0.9)), vec(0),
+        OcclusionStatus.VALID, orientation,
+    )
     t = Tracklet(1, 0, TrackingPhase.CONFIRMED, F, [record])
     det = DetectionObservation(
         camera_id=0,

@@ -490,9 +490,7 @@ class TestConfigFile:
         path.write_text(config_as_text(cfg))
         assert load_config(path) == cfg
 
-    # Every value TrackerConfig accepts, except integers past 2**53 in a
-    # float field: the file holds one number per field and a float field
-    # reads it as a double.
+    # Every value TrackerConfig accepts.
     ACCEPTED = st.fixed_dictionaries(
         {
             **{key: st.integers(1, 2**70) for key in INT_FIELDS},
@@ -500,7 +498,7 @@ class TestConfigFile:
             **{key: st.booleans() for key in SWITCHES},
             **{
                 key: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-                | st.integers(1, 2**53)
+                | st.integers(1, 2**1023)
                 for key in FLOAT_FIELDS
             },
         }

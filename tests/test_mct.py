@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from mtmctrack.core import (
     BBox,
+    DetectionObservation,
     FORBIDDEN,
     OcclusionStatus,
     Orientation,
+    PoseKeypoints,
     TrackerConfig,
 )
 from mtmctrack.features import MeanSlot, replay_feature
@@ -19,7 +21,6 @@ from mtmctrack.mct import (
     build_mct_matrix,
     run_mct,
 )
-from mtmctrack.sct import ObsRecord
 
 CFG = TrackerConfig(feature_dim=8)
 
@@ -30,11 +31,16 @@ def vec(*values, dim=8):
     return v
 
 
-def obs(frame, x=100.0, emb=None):
-    return ObsRecord(
+POSE = PoseKeypoints(np.full((17, 3), 0.9))
+
+
+def obs(frame, x=100.0, emb=None, camera=0):
+    return DetectionObservation(
+        camera_id=camera,
         frame=frame,
         bbox=BBox(x, 100.0, 40.0, 80.0),
         det_confidence=0.9,
+        pose=POSE,
         occlusion=OcclusionStatus.VALID,
         orientation=Orientation.FRONT,
         embedding=emb if emb is not None else vec(1.0),
@@ -42,7 +48,7 @@ def obs(frame, x=100.0, emb=None):
 
 
 def traj(gid, camera, frames, emb, x=100.0):
-    records = [obs(f, x=x, emb=emb) for f in frames]
+    records = [obs(f, x=x, emb=emb, camera=camera) for f in frames]
     return Trajectory(
         global_id=gid,
         segments=[TrajectorySegment(camera, gid, records)],
@@ -198,6 +204,37 @@ class TestAssociate:
     def test_empty_input(self):
         assert associate_mct([], CFG) == []
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # camera
+                st.integers(0, 60),  # first frame
+                st.integers(1, 8),  # length
+                st.integers(0, 3),  # appearance
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_links_keep_segments_in_time_order_and_relabel_the_rows(self, spans):
+        trajs = [
+            traj(gid, cam, range(start, start + length), vec(5.0 * a), x=10.0 * gid)
+            for gid, (cam, start, length, a) in enumerate(spans, start=1)
+        ]
+
+        def row_keys(rows):
+            return sorted((r.camera_id, r.frame, id(r.bbox)) for r in rows)
+
+        rows_before = row_keys(r for t in trajs for r in t.rows())
+        out = associate_mct(trajs, CFG)
+        for t in out:
+            segs = t.segments
+            assert all(a.end_frame < b.start_frame for a, b in zip(segs, segs[1:]))
+            assert {r.identity for r in t.rows()} == {t.global_id}
+        assert sorted(t.global_id for t in out) == list(range(1, len(out) + 1))
+        assert row_keys(r for t in out for r in t.rows()) == rows_before
+
     def test_global_ids_relabeled_in_time_order(self):
         a = traj(7, 0, range(50, 55), vec(5.0))
         b = traj(9, 1, range(0, 5), vec(0.0, 50.0))
@@ -214,6 +251,20 @@ class TestTrajectoryValidation:
         seg1 = TrajectorySegment(0, 1, [obs(f) for f in range(0, 10)])
         seg2 = TrajectorySegment(0, 2, [obs(f) for f in range(5, 15)])
         with pytest.raises(ValueError):
+            Trajectory(global_id=1, segments=[seg1, seg2], fused=replay_feature([], CFG))
+
+    def test_segments_out_of_time_order_rejected(self):
+        later = TrajectorySegment(0, 1, [obs(f) for f in range(10, 15)])
+        earlier = TrajectorySegment(1, 2, [obs(f, camera=1) for f in range(0, 5)])
+        with pytest.raises(ValueError, match="out of time order"):
+            Trajectory(global_id=1, segments=[later, earlier], fused=replay_feature([], CFG))
+        t = Trajectory(global_id=1, segments=[earlier, later], fused=replay_feature([], CFG))
+        assert (t.start_frame, t.end_frame, t.cameras) == (0, 14, {0, 1})
+
+    def test_two_cameras_overlapping_in_time_rejected(self):
+        seg1 = TrajectorySegment(0, 1, [obs(f) for f in range(0, 10)])
+        seg2 = TrajectorySegment(1, 2, [obs(f, camera=1) for f in range(9, 15)])
+        with pytest.raises(ValueError, match="overlapping"):
             Trajectory(global_id=1, segments=[seg1, seg2], fused=replay_feature([], CFG))
 
 
@@ -316,10 +367,12 @@ class TestMergedFeature:
         for valid, orientation, gap, a in steps:
             frame += gap
             records.append(
-                ObsRecord(
+                DetectionObservation(
+                    camera_id=0,
                     frame=frame,
                     bbox=BBox(100.0, 100.0, 40.0, 80.0),
                     det_confidence=0.9,
+                    pose=POSE,
                     occlusion=OcclusionStatus.VALID if valid else OcclusionStatus.INVALID,
                     orientation=orientation,
                     embedding=vec(float(a), 0.1 * frame),

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from collections import Counter
@@ -107,13 +108,19 @@ def test_every_public_method_is_used():
     assert unused == []
 
 
-def test_every_traced_layer_resolves(monkeypatch):
-    # The benchmark's tracer wraps its layers by module and function name,
-    # so a renamed layer would otherwise fail only in a traced benchmark run.
+def load_tracer(monkeypatch):
+    """The benchmark's ``perfbench/tracer.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # The benchmark's tracer wraps its layers by module and function name,
+    # so a renamed layer would otherwise fail only in a traced benchmark run.
+    tracer = load_tracer(monkeypatch)
     assert tracer.LAYERS
     missing = [
         f"{layer.module}.{layer.function}"
@@ -121,3 +128,33 @@ def test_every_traced_layer_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(layer.module), layer.function, None))
     ]
     assert missing == []
+
+
+def test_traced_run_reports_every_declared_layer_metric(tmp_path, monkeypatch):
+    # A counter reads the layers' arguments and results (``state.finished``,
+    # ``tracklets``, ``ids``), so renaming one would otherwise fail only in
+    # the benchmark's own tests.
+    from mtmctrack.pipeline import run_pipeline
+
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        run_pipeline("two_camera_handoff", tmp_path / "traced", offline=True)
+    finally:
+        tracer.uninstall()
+    run_pipeline("two_camera_handoff", tmp_path / "plain", offline=True)
+
+    # The benchmark's scripts add these four beside the tracer's metrics.
+    added_by_scripts = {
+        "setup.import_s",
+        "setup.estimator_s",
+        "synth.generate_s",
+        "trace.overhead_ratio",
+    }
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert sorted(declared - added_by_scripts - set(tracer.run_metrics(0))) == []
+
+    def written(folder):
+        return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+    assert written(tmp_path / "traced") == written(tmp_path / "plain")

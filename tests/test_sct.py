@@ -23,7 +23,6 @@ from mtmctrack.features import (
 )
 from mtmctrack.sct import (
     CameraTrackerState,
-    ObsRecord,
     TrackingPhase,
     Tracklet,
     cluster_tracklets,
@@ -80,7 +79,7 @@ def det(
 
 
 def tracklet_from_dets(tid, dets, cfg=CFG, phase=TrackingPhase.CONFIRMED):
-    obs = [ObsRecord.from_detection(d) for d in dets]
+    obs = list(dets)
     return Tracklet(
         id=tid,
         camera_id=dets[0].camera_id,
@@ -460,6 +459,15 @@ class TestStepFrame:
         assert t.end_frame == 1
         assert t.miss_count == 0
 
+    def test_history_is_the_detections_passed_in(self):
+        dets = [det(f, x=100 + f, emb=vec(3.0)) for f in range(4)]
+        state = CameraTrackerState(camera_id=0, cfg=CFG)
+        for d in dets:
+            step_frame(state, [d])
+        (t,) = state.tracklets
+        assert len(t.observations) == len(dets)
+        assert all(o is d for o, d in zip(t.observations, dets))
+
     def test_tentative_dies_without_detections(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
         step_frame(state, [det(0, valid=False)])
@@ -639,6 +647,22 @@ class TestClusterTracklets:
         assert len(state.tracklets) == 1
         assert len({r.identity for r in rows}) == 1
         assert len(rows) == 10
+
+    def test_merged_history_is_the_detections_passed_in(self):
+        first = [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)]
+        second = [det(f, x=130 + f, emb=vec(5.5)) for f in range(30, 35)]
+        state = CameraTrackerState(camera_id=0, cfg=CFG)
+        # The later fragment comes first, so the merge must put it last.
+        state.tracklets = [
+            tracklet_from_dets(2, second),
+            tracklet_from_dets(1, first, phase=TrackingPhase.INVISIBLE),
+        ]
+        state.next_id = 3
+        state.current_frame = 34
+        state, _ = cluster_tracklets(state)
+        (t,) = state.tracklets
+        assert len(t.observations) == len(first + second)
+        assert all(o is d for o, d in zip(t.observations, first + second))
 
     def test_cotemporal_tracklets_never_merge(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
