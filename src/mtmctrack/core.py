@@ -178,9 +178,6 @@ class TrackerConfig:
     use_orientation_feature: bool = True
     use_cluster_feature: bool = True
     use_invalid_feature: bool = True
-    # Whether the velocity gate also applies across cameras (image-plane
-    # distances are not comparable between views, so off by default).
-    mct_velocity_gate: bool = False
 
     def __post_init__(self):
         # The annotations are postponed, so each field's type is its name.

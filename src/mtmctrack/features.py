@@ -1,12 +1,13 @@
-"""The five-part fused appearance model of a tracklet and its distances.
+"""The fused appearance model of a tracklet and its distances.
 
-A tracklet's appearance is summarized by: the latest valid embedding, a
-tuple of four per-orientation running means, an online cluster set (a tuple
-of at most ``n_c`` running means), the most recent invalid embedding (kept
-one frame only), and the running mean over all valid embeddings. Every
-running mean is a ``MeanSlot``. Only valid embeddings feed the first,
-second, third and fifth parts; invalid embeddings touch nothing but the
-invalid slot.
+A tracklet's appearance is summarized by four parts folded from its valid
+detections: the latest valid embedding, a tuple of four per-orientation
+running means, an online cluster set (a tuple of at most ``n_c`` running
+means), and the running mean over all valid embeddings. Every running mean
+is a ``MeanSlot``. A fused feature is the left fold of a history's valid
+detections; an invalid detection changes nothing. The paper's fifth part,
+the embedding of an occluded detection from the previous frame, is read
+from the tracklet's history by the matching code.
 
 All update operations are functional: they return a new object and never
 mutate their inputs, so a caller can hold the previous state for free.
@@ -15,7 +16,7 @@ mutate their inputs, so a caller can hold the previous state for free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,14 +49,6 @@ def _fold(slot: Optional[MeanSlot], feature: np.ndarray) -> MeanSlot:
 
 
 @dataclass(frozen=True)
-class InvalidSlot:
-    """The most recent invalid embedding and the frame it came from."""
-
-    feature: np.ndarray
-    frame: int
-
-
-@dataclass(frozen=True)
 class FusedTrackingFeature:
     """Full appearance state of one tracklet."""
 
@@ -64,7 +57,6 @@ class FusedTrackingFeature:
     orientation_bank: tuple[Optional[MeanSlot], ...] = (None, None, None, None)
     # At most ``n_c`` clusters, in the order they were opened.
     cluster_set: tuple[MeanSlot, ...] = ()
-    invalid: Optional[InvalidSlot] = None
     avg: Optional[MeanSlot] = None
 
 
@@ -100,32 +92,23 @@ def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTr
     """Fold one matched detection into the fused feature.
 
     ``det`` is a detection with populated state: anything with
-    ``embedding``, ``occlusion``, ``orientation`` and ``frame`` attributes.
-    The embedding is copied once; the parts of the new feature share that
-    copy, which is safe because no update writes into an array.
+    ``embedding``, ``occlusion`` and ``orientation`` attributes. An invalid
+    detection leaves ``F`` unchanged. A valid one's embedding is copied
+    once; the parts of the new feature share that copy, which is safe
+    because no update writes into an array.
     """
     if det.occlusion is None or det.orientation is None:
         raise ValueError("detection state must be populated before feature updates")
-    emb = np.array(det.embedding, dtype=np.float64)
     if det.occlusion is OcclusionStatus.INVALID:
-        return FusedTrackingFeature(
-            F.current, F.orientation_bank, F.cluster_set, InvalidSlot(emb, det.frame), F.avg
-        )
+        return F
+    emb = np.array(det.embedding, dtype=np.float64)
     bank, o = F.orientation_bank, det.orientation.value
     return FusedTrackingFeature(
         current=emb,
         orientation_bank=bank[:o] + (_fold(bank[o], emb),) + bank[o + 1 :],
         cluster_set=update_cluster(F.cluster_set, emb, det.occlusion, cfg.n_c),
-        invalid=None,
         avg=_fold(F.avg, emb),
     )
-
-
-def expire_invalid(F: FusedTrackingFeature, current_frame: int) -> FusedTrackingFeature:
-    """Drop the invalid slot once it is older than the previous frame."""
-    if F.invalid is not None and F.invalid.frame < current_frame - 1:
-        return replace(F, invalid=None)
-    return F
 
 
 def replay_feature(
@@ -134,15 +117,13 @@ def replay_feature(
     """Rebuild a fused feature by folding observations in time order onto
     ``start`` (default: the empty feature).
 
-    This is the reference composition for merged tracklets: the online
+    This is the reference composition for merged histories: the online
     clustering is order-dependent, so replay is the only well-defined way
-    to combine histories. The last fold leaves the invalid slot empty or at
-    the latest frame, so the result never holds a stale one.
-
-    Replay is a left fold with no expiry between folds, so when ``start``
-    is the replay of observations that all end before the first of
-    ``observations``, the result is the replay of both lists together, bit
-    for bit. That precondition is the caller's to keep.
+    to combine them. A fused feature is the fold of its valid detections
+    and nothing else, so when ``start`` is the replay of observations that
+    all end before the first of ``observations``, the result is the replay
+    of both lists together, bit for bit. That precondition is the caller's
+    to keep.
     """
     F = FusedTrackingFeature() if start is None else start
     for obs in sorted(observations, key=lambda o: o.frame):

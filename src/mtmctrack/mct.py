@@ -111,7 +111,8 @@ def assign_global_ids(trajs: list[Trajectory]) -> None:
 def _pair_distance(a: Trajectory, b: Trajectory, cfg: TrackerConfig) -> float:
     if a.cameras & b.cameras:
         return FORBIDDEN
-    if not physical_constraints_ok(a, b, cfg, check_velocity=cfg.mct_velocity_gate):
+    # No velocity gate: image-plane distances are not comparable between views.
+    if not physical_constraints_ok(a, b, cfg, check_velocity=False):
         return FORBIDDEN
     return cluster_distance(a.fused, b.fused, cfg)
 

@@ -107,7 +107,13 @@ def trajectories_from_rows(
                 f"track row (camera {row.camera_id}, frame {row.frame}, "
                 f"id {row.identity}) has no matching detection"
             )
-        grouped.setdefault((row.camera_id, row.identity), []).append(det)
+        group = grouped.setdefault((row.camera_id, row.identity), [])
+        if group and group[-1].frame == row.frame:
+            raise ValueError(
+                f"track rows repeat (camera {row.camera_id}, frame {row.frame}, "
+                f"id {row.identity})"
+            )
+        group.append(det)
 
     trajs = []
     for cam, ident in sorted(grouped):

@@ -34,7 +34,6 @@ from .core import (
 from .features import (
     FusedTrackingFeature,
     cluster_distance,
-    expire_invalid,
     rectify_distance,
     replay_feature,
     update_on_match,
@@ -57,8 +56,7 @@ class Tracklet:
 
     ``observations`` are the matched detections themselves, in frame order,
     not copies: a detection must not change once it is passed to
-    ``step_frame``. Merged tracklets rebuild their fused feature by
-    replaying them.
+    ``step_frame``. ``fused`` is always the replay of them.
     """
 
     id: int
@@ -123,7 +121,9 @@ def compute_distance_matrix(
     channels, forbidden where the spatial gate fails or no channel applies.
 
     The spatial gate requires the detection's box center to be reachable
-    from the tracklet's last box center at ``v_max`` pixels per frame. Box
+    from the tracklet's last box center at ``v_max`` pixels per frame. The
+    invalid channel compares an invalid detection with the tracklet's last
+    detection when that one was invalid too and one frame earlier. Box
     centers, frames and channel vectors are read once per call, not once
     per pair; the channel minimum is taken over squared distances and
     rooted once (see ``squared_distance``).
@@ -159,14 +159,15 @@ def compute_distance_matrix(
         end = t.end_frame
         if first_frame <= end:
             raise ValueError("detection must be later than the tracklet's last frame")
-        tx, ty = t.last_bbox.center
+        last = t.observations[-1]
+        tx, ty = last.bbox.center
         F = t.fused
         # Channels every detection is compared with.
         shared = [] if F.current is None else [F.current]
         if use_cluster:
             shared += [c.mean for c in F.cluster_set]
         slots = F.orientation_bank
-        invalid = F.invalid.feature if use_invalid and F.invalid is not None else None
+        last_invalid = use_invalid and last.occlusion is OcclusionStatus.INVALID
         for j, (dx, dy, frame, emb, orientation, det_invalid) in enumerate(columns):
             if not math.hypot(tx - dx, ty - dy) <= v_max * (frame - end):
                 continue
@@ -179,8 +180,8 @@ def compute_distance_matrix(
                 d = squared_distance(slots[orientation].mean, emb)
                 if d < best:
                     best = d
-            if invalid is not None and det_invalid:
-                d = squared_distance(invalid, emb)
+            if last_invalid and det_invalid and frame == end + 1:
+                d = squared_distance(last.embedding, emb)
                 if d < best:
                     best = d
             m[i, j] = math.sqrt(best)
@@ -268,17 +269,14 @@ def physical_constraints_ok(a, b, cfg: TrackerConfig, check_velocity: bool = Tru
 
 
 def _merge_tracklets(dst: Tracklet, src: Tracklet, cfg: TrackerConfig) -> None:
-    """Absorb ``src`` into ``dst`` (dst keeps its id). History is
-    concatenated in time order and the fused feature rebuilt by replay."""
-    merged = sorted(dst.observations + src.observations, key=lambda o: o.frame)
-    for prev, nxt in zip(merged, merged[1:]):
-        if nxt.frame <= prev.frame:
-            raise ValueError(
-                f"merge of tracklets {dst.id} and {src.id} overlaps in time"
-            )
-    later = dst if dst.end_frame > src.end_frame else src
-    dst.observations = merged
-    dst.fused = replay_feature(merged, cfg)
+    """Absorb ``src`` into ``dst`` (dst keeps its id). The later history is
+    appended to the earlier one and folded onto the earlier fused feature,
+    which equals replaying the union as the two cannot overlap in time."""
+    earlier, later = (dst, src) if dst.start_frame < src.start_frame else (src, dst)
+    if later.start_frame <= earlier.end_frame:
+        raise ValueError(f"merge of tracklets {dst.id} and {src.id} overlaps in time")
+    dst.fused = replay_feature(later.observations, cfg, earlier.fused)
+    dst.observations = earlier.observations + later.observations
     dst.miss_count = later.miss_count
     dst.ever_confirmed = dst.ever_confirmed or src.ever_confirmed
 
@@ -399,10 +397,6 @@ def _process_one_frame(
         cfg,
         state.orientation_estimator,
     )
-
-    # The invalid slot lives one frame: drop stale ones before matching.
-    for t in state.tracklets:
-        t.fused = expire_invalid(t.fused, frame)
 
     matrix = compute_distance_matrix(state.tracklets, dets, cfg)
     result = hungarian(matrix)

@@ -245,7 +245,7 @@ class TestTypes:
             ("theta_mct", None, "a number"),
             ("use_cluster_feature", 2, "True or False"),
             ("use_cluster_feature", 1, "True or False"),
-            ("mct_velocity_gate", 0.0, "True or False"),
+            ("use_orientation_feature", 0.0, "True or False"),
             ("use_invalid_feature", np.bool_(True), "True or False"),
         ],
     )

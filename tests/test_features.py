@@ -16,10 +16,8 @@ from mtmctrack.core import (
 )
 from mtmctrack.features import (
     FusedTrackingFeature,
-    InvalidSlot,
     MeanSlot,
     cluster_distance,
-    expire_invalid,
     rectify_distance,
     replay_feature,
     update_cluster,
@@ -212,20 +210,14 @@ class TestUpdateOnMatch:
         assert len(F.cluster_set) == 1
         assert F.orientation_bank[Orientation.LEFT.value].count == 1
         assert F.orientation_bank[Orientation.FRONT.value] is None
-        assert F.invalid is None
 
     def test_invalid_detection_touches_only_invalid_slot(self):
         base = update_on_match(
             FusedTrackingFeature(), FakeDet(vec(1), OcclusionStatus.VALID, frame=1), CFG
         )
         det = FakeDet(vec(9), OcclusionStatus.INVALID, frame=2)
-        F = update_on_match(base, det, CFG)
-        assert np.array_equal(F.invalid.feature, vec(9))
-        assert F.invalid.frame == 2
-        assert F.current is base.current
-        assert F.orientation_bank is base.orientation_bank
-        assert F.cluster_set is base.cluster_set
-        assert F.avg is base.avg
+        # The invalid channel is read from the history, not the feature.
+        assert update_on_match(base, det, CFG) is base
 
     def test_two_valid_detections_average(self):
         u, v = vec(2, 0), vec(0, 2)
@@ -247,48 +239,6 @@ class TestUpdateOnMatch:
         assert np.array_equal(F.avg.mean, vec(2, 1))
         assert np.array_equal(F.orientation_bank[Orientation.LEFT.value].mean, vec(2, 1))
         assert np.array_equal(F.cluster_set[0].mean, vec(2, 1))
-        assert np.array_equal(F.invalid.feature, vec(4))
-
-    def test_valid_match_clears_invalid_slot(self):
-        F = FusedTrackingFeature(invalid=InvalidSlot(vec(1), 5))
-        F = update_on_match(F, FakeDet(vec(2), OcclusionStatus.VALID, frame=6), CFG)
-        assert F.invalid is None
-
-
-class TestExpireInvalid:
-    def test_last_frame_kept(self):
-        F = FusedTrackingFeature(invalid=InvalidSlot(vec(1), 10))
-        assert expire_invalid(F, 11).invalid is not None
-
-    def test_older_removed(self):
-        F = FusedTrackingFeature(invalid=InvalidSlot(vec(1), 10))
-        assert expire_invalid(F, 12).invalid is None
-
-    def test_no_slot_unchanged(self):
-        F = FusedTrackingFeature()
-        assert expire_invalid(F, 100) is F
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        steps=st.lists(
-            st.tuples(st.booleans(), st.sampled_from(list(Orientation)), st.integers(1, 3)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_update_and_replay_leave_nothing_to_expire(self, steps):
-        # Why neither a matched tracklet nor a replayed feature needs an
-        # expiry pass: the last fold leaves the slot empty or at its frame.
-        frame, observations, F = 0, [], FusedTrackingFeature()
-        for k, (valid, orientation, gap) in enumerate(steps):
-            frame += gap
-            status = OcclusionStatus.VALID if valid else OcclusionStatus.INVALID
-            det = FakeDet(vec(float(k)), status, orientation, frame=frame)
-            F = update_on_match(F, det, CFG)
-            assert F.invalid is None or F.invalid.frame == frame
-            observations.append(det)
-        R = replay_feature(observations[::-1], CFG)
-        assert expire_invalid(R, frame) is R
 
 
 class TestDistances:
@@ -495,11 +445,7 @@ class TestInvariants:
             before = F
             F = update_on_match(F, det, CFG)
             if status is OcclusionStatus.INVALID:
-                assert F.current is before.current
-                assert F.orientation_bank is before.orientation_bank
-                assert F.cluster_set is before.cluster_set
-                assert F.avg is before.avg
-                assert np.array_equal(F.invalid.feature, f)
+                assert F is before
                 continue
             valid_feats.append(f)
             by_orientation[orientation].append(f)
@@ -541,7 +487,7 @@ class TestInvariants:
 
 
 class TestReplay:
-    def test_replay_matches_incremental(self):
+    def test_replay_matches_incremental(self, feature_leaves):
         rng = np.random.default_rng(25)
         records = [
             FakeDet(
@@ -555,15 +501,4 @@ class TestReplay:
         incremental = FusedTrackingFeature()
         for r in records:
             incremental = update_on_match(incremental, r, CFG)
-            incremental = expire_invalid(incremental, r.frame)
-        replayed = replay_feature(records, CFG)
-        assert np.array_equal(replayed.current, incremental.current)
-        assert (replayed.avg.count, replayed.avg.mean.tolist()) == (
-            incremental.avg.count,
-            incremental.avg.mean.tolist(),
-        )
-        for o in Orientation:
-            s1, s2 = replayed.orientation_bank[o.value], incremental.orientation_bank[o.value]
-            assert (s1 is None) == (s2 is None)
-            if s1 is not None:
-                assert np.array_equal(s1.mean, s2.mean)
+        assert feature_leaves(replay_feature(records, CFG)) == feature_leaves(incremental)

@@ -447,10 +447,7 @@ class TestConfigFile:
         "theta_valid", "mu_m", "mu_d", "k_interval",
         "n_c", "l_rectify", "max_gap", "feature_dim",
     )
-    SWITCHES = (
-        "use_orientation_feature", "use_cluster_feature",
-        "use_invalid_feature", "mct_velocity_gate",
-    )
+    SWITCHES = ("use_orientation_feature", "use_cluster_feature", "use_invalid_feature")
     FLOAT_FIELDS = ("gamma_valid", "theta_rectify", "theta_cluster", "theta_mct", "v_max")
 
     def test_schema_names_every_field(self):
@@ -557,6 +554,21 @@ class TestCli:
             "mct_no_track_files": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
         }[case]
         assert main(argv + ["--out", str(out)]) == 1
+        assert list(out.rglob("*")) == []
+
+    def test_mct_repeated_track_row_returns_error(self, tmp_path, sample_detections, caplog):
+        dets = tmp_path / "dets.jsonl"
+        write_detections(dets, sample_detections)
+        d = sample_detections[0]
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        row = TrackRow(d.camera_id, d.frame, 3, d.bbox)
+        write_track_rows(tracks / f"cam{d.camera_id}.txt", [row, row])
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["mct", "--tracks", str(tracks), "--dets", str(dets), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"repeat (camera {d.camera_id}, frame {d.frame}, id 3)" in caplog.text
         assert list(out.rglob("*")) == []
 
     @pytest.mark.parametrize(

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +9,7 @@ from mtmctrack.core import (
     OcclusionStatus,
     Orientation,
     PoseKeypoints,
+    TrackRow,
     TrackerConfig,
 )
 from mtmctrack.features import MeanSlot, replay_feature
@@ -83,14 +82,12 @@ class TestBuildMatrix:
             current=a.fused.current,
             orientation_bank=(MeanSlot(vec(0.0), 1), None, None, None),
             cluster_set=a.fused.cluster_set,
-            invalid=None,
             avg=MeanSlot(vec(0.0), 1),
         )
         b.fused = b.fused.__class__(
             current=b.fused.current,
             orientation_bank=(MeanSlot(vec(25.0), 1), None, None, None),
             cluster_set=b.fused.cluster_set,
-            invalid=None,
             avg=MeanSlot(vec(0.0, 35.0), 1),
         )
         m = build_mct_matrix([a, b], CFG)
@@ -315,19 +312,20 @@ class TestStateAndFilePathsAgree:
                 assert np.array_equal(o_got.embedding, o_live.embedding)
 
 
-def feature_leaves(x):
-    """Every array (as raw bytes) and scalar of a fused feature, in order."""
-    if isinstance(x, np.ndarray):
-        return x.tobytes()
-    if dataclasses.is_dataclass(x):
-        return tuple(feature_leaves(getattr(x, f.name)) for f in dataclasses.fields(x))
-    if isinstance(x, tuple):
-        return tuple(feature_leaves(v) for v in x)
-    return x
+class TestTrajectoriesFromRows:
+    @pytest.mark.parametrize("second_x", [100.0, 150.0])
+    def test_repeated_identity_in_one_frame_rejected(self, second_x):
+        from mtmctrack.pipeline import trajectories_from_rows
+
+        dets = [obs(0), obs(1), obs(1, x=150.0)]
+        rows = [TrackRow(0, d.frame, 7, d.bbox) for d in dets[:2]]
+        rows.append(TrackRow(0, 1, 7, BBox(second_x, 100.0, 40.0, 80.0)))
+        with pytest.raises(ValueError, match=r"repeat \(camera 0, frame 1, id 7\)"):
+            trajectories_from_rows(rows, dets, CFG)
 
 
 class TestMergedFeature:
-    def test_linked_trajectory_feature_equals_replay_of_union(self):
+    def test_linked_trajectory_feature_equals_replay_of_union(self, feature_leaves):
         """A and B (cameras 0 and 1) link, C (camera 2) is too far to; the
         merged trajectory's feature must equal replaying A's and B's
         observations together."""
@@ -362,7 +360,7 @@ class TestMergedFeature:
         ),
         cut=st.integers(0, 25),
     )
-    def test_fold_onto_earlier_feature_equals_replay_of_union(self, steps, cut):
+    def test_fold_onto_earlier_feature_equals_replay_of_union(self, feature_leaves, steps, cut):
         frame, records = 0, []
         for valid, orientation, gap, a in steps:
             frame += gap
@@ -382,7 +380,7 @@ class TestMergedFeature:
         folded = replay_feature(later, CFG, replay_feature(earlier, CFG))
         assert feature_leaves(folded) == feature_leaves(replay_feature(records, CFG))
 
-    def test_link_folds_only_the_later_trajectory(self, monkeypatch):
+    def test_link_folds_only_the_later_trajectory(self, monkeypatch, feature_leaves):
         import mtmctrack.mct as mct_module
 
         folded = []

@@ -1,6 +1,7 @@
 """Structure of the package: modules share only public names."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mtmctrack
+from mtmctrack.core import TrackerConfig
 
 PACKAGE = Path(mtmctrack.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,19 @@ def test_no_private_imports_between_modules():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_every_config_field_is_read():
+    # A knob that no module besides the one defining it reads changes nothing.
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    fields = [f.name for f in dataclasses.fields(TrackerConfig)]
+    assert [name for name in fields if name not in read] == []
 
 
 def test_every_exported_name_resolves():

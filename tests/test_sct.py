@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,6 @@ from mtmctrack.core import (
 )
 from mtmctrack.features import (
     FusedTrackingFeature,
-    InvalidSlot,
     MeanSlot,
     replay_feature,
 )
@@ -25,6 +25,7 @@ from mtmctrack.sct import (
     CameraTrackerState,
     TrackingPhase,
     Tracklet,
+    _merge_tracklets,
     cluster_tracklets,
     compute_distance_matrix,
     init_tracklet,
@@ -121,10 +122,12 @@ class TestSpatialGate:
 
 def reference_matrix(tracklets, dets, cfg):
     """The tracklet-detection matrix from per-channel ``np.linalg.norm``
-    distances and the per-pair spatial gate, pair by pair."""
+    distances and the per-pair spatial gate, pair by pair. The invalid
+    channel is the tracklet's last detection, when that and the detection
+    are invalid and one frame apart."""
     m = np.full((len(tracklets), len(dets)), FORBIDDEN)
     for i, t in enumerate(tracklets):
-        F = t.fused
+        F, last = t.fused, t.observations[-1]
         for j, d in enumerate(dets):
             gap = d.frame - t.end_frame
             if not center_distance(t.last_bbox, d.bbox) <= cfg.v_max * gap:
@@ -140,10 +143,11 @@ def reference_matrix(tracklets, dets, cfg):
                 channels.extend(c.mean for c in F.cluster_set)
             if (
                 cfg.use_invalid_feature
-                and F.invalid is not None
+                and last.occlusion is OcclusionStatus.INVALID
                 and d.occlusion is OcclusionStatus.INVALID
+                and gap == 1
             ):
-                channels.append(F.invalid.feature)
+                channels.append(last.embedding)
             m[i, j] = min(
                 (float(np.linalg.norm(c - d.embedding)) for c in channels),
                 default=FORBIDDEN,
@@ -240,11 +244,12 @@ class TestDistanceMatrixOracle:
         assert np.array_equal(got, reference_matrix(tracklets, dets, cfg))
 
     def test_hand_built_features(self):
-        """Feature states replay cannot produce: a current feature with an
-        invalid slot but no cluster set, and clusters without a current."""
-        t = tracklet_from_dets(1, [det(0, emb=vec(1.0))])
+        """Feature states replay cannot produce: a current feature with no
+        cluster set, and clusters without a current. The last detection is
+        invalid, so the invalid channel applies too."""
+        t = tracklet_from_dets(1, [det(0, emb=vec(0.5), valid=False)])
         odd = [
-            FusedTrackingFeature(current=vec(3.0), invalid=InvalidSlot(vec(0.5), 0)),
+            FusedTrackingFeature(current=vec(3.0)),
             FusedTrackingFeature(cluster_set=(MeanSlot(vec(2.0), 1), MeanSlot(vec(-1.0), 3))),
             # Only the LEFT slot is filled.
             FusedTrackingFeature(orientation_bank=(None, None, MeanSlot(vec(0.25), 1), None)),
@@ -299,10 +304,10 @@ class TestDistanceMatrix:
                 det(1, emb=vec(30.0), valid=False),
             ],
         )
-        assert t.fused.invalid is not None
+        assert t.observations[-1].occlusion is OcclusionStatus.INVALID
         d_inv = det(2, emb=vec(29.0), valid=False)
         m = compute_distance_matrix([t], [d_inv], CFG)
-        assert m[0, 0] == pytest.approx(1.0)  # via the invalid slot
+        assert m[0, 0] == pytest.approx(1.0)  # via the invalid channel
 
     def test_invalid_slot_ignored_for_valid_detection(self):
         t = tracklet_from_dets(
@@ -312,6 +317,24 @@ class TestDistanceMatrix:
         d_valid = det(2, emb=vec(29.0))
         m = compute_distance_matrix([t], [d_valid], CFG)
         assert m[0, 0] == pytest.approx(20.0)  # distance to current, not invalid
+
+    def test_invalid_channel_lives_one_frame(self):
+        # The last detection is invalid: an invalid detection one frame
+        # later is compared with it, one two frames later only with the
+        # valid parts.
+        t = tracklet_from_dets(
+            1, [det(0, emb=vec(9.0)), det(1, emb=vec(30.0), valid=False)]
+        )
+        for frame, expected in ((2, 1.0), (3, 20.0)):
+            d_inv = det(frame, emb=vec(29.0), valid=False)
+            assert compute_distance_matrix([t], [d_inv], CFG)[0, 0] == expected
+
+    def test_valid_last_detection_closes_invalid_channel(self):
+        t = tracklet_from_dets(
+            1, [det(0, emb=vec(30.0), valid=False), det(1, emb=vec(9.0))]
+        )
+        d_inv = det(2, emb=vec(29.0), valid=False)
+        assert compute_distance_matrix([t], [d_inv], CFG)[0, 0] == 20.0
 
     def test_ablation_flags_disable_channels(self):
         cfg = TrackerConfig(
@@ -432,8 +455,8 @@ class TestInitTracklet:
         t = init_tracklet(det(0, valid=False), state)
         assert t.phase is TrackingPhase.TENTATIVE
         assert not t.ever_confirmed
-        assert t.fused.current is None
-        assert t.fused.invalid is not None
+        # An invalid detection folds into no part of the feature.
+        assert t.fused == FusedTrackingFeature()
 
     def test_distinct_ids(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
@@ -608,18 +631,47 @@ class TestRectify:
         rectify(state)  # confirmed fragment has 4 < 10 observations
         assert len(state.tracklets) == 2
 
-    def test_merged_feature_equals_replay_of_union(self):
+    def test_merged_feature_equals_replay_of_union(self, feature_leaves):
         cfg = rectify_cfg()
         state, old, new = self._fragmented_state(cfg, distance_offset=5.0)
-        union = sorted(old.observations + new.observations, key=lambda o: o.frame)
+        union = old.observations + new.observations
         rectify(state)
         merged = state.tracklets[0]
-        expected = replay_feature(union, cfg)
-        assert np.array_equal(merged.fused.current, expected.current)
-        assert np.array_equal(merged.fused.avg.mean, expected.avg.mean)
-        assert len(merged.fused.cluster_set) == len(expected.cluster_set)
-        for c1, c2 in zip(merged.fused.cluster_set, expected.cluster_set):
-            assert np.array_equal(c1.mean, c2.mean)
+        assert feature_leaves(merged.fused) == feature_leaves(replay_feature(union, cfg))
+
+        # Every orientation and some invalid detections, with ``dst`` as the
+        # earlier and as the later tracklet.
+        def fragment(tid, frames):
+            return tracklet_from_dets(
+                tid,
+                [
+                    det(
+                        f,
+                        x=100.0 + f,
+                        emb=vec(5.0 + 0.1 * f, f % 3),
+                        valid=f % 5 != 2,
+                        orientation=list(Orientation)[f % 4],
+                    )
+                    for f in frames
+                ],
+                cfg=cfg,
+            )
+
+        for dst_is_earlier in (True, False):
+            earlier, later = fragment(1, range(0, 9)), fragment(2, range(15, 26))
+            union = earlier.observations + later.observations
+            dst, src = (earlier, later) if dst_is_earlier else (later, earlier)
+            _merge_tracklets(dst, src, cfg)
+            assert [id(o) for o in dst.observations] == [id(o) for o in union]
+            assert feature_leaves(dst.fused) == feature_leaves(replay_feature(union, cfg))
+
+    def test_merge_of_interleaved_tracklets_is_refused(self):
+        # The gates forbid such a pair; the fold must refuse it rather than
+        # return a feature that is not the replay of the union.
+        a = tracklet_from_dets(1, [det(0), det(2)])
+        b = tracklet_from_dets(2, [det(1), det(3)])
+        with pytest.raises(ValueError, match="overlaps in time"):
+            _merge_tracklets(a, b, CFG)
 
 
 class TestClusterTracklets:
@@ -799,45 +851,58 @@ class TestRunSct:
         assert calls == [29]
 
 
+# Random online streams: per frame, up to four detections at distinct grid
+# points, each with one of three appearances and a valid or invalid pose.
+STREAMS = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(0, 12),  # x on a 10 px grid: crossings and near misses
+            st.integers(0, 3),  # y
+            st.integers(0, 2),  # appearance
+            st.booleans(),  # valid pose
+        ),
+        max_size=4,
+        unique_by=lambda d: (d[0], d[1]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def stream_frames(stream):
+    """The detections of each frame of a ``STREAMS`` example."""
+    return [
+        [
+            det(f, x=100.0 + 10.0 * x, y=100.0 + 10.0 * y, emb=vec(float(a)), valid=v)
+            for x, y, a, v in frame_dets
+        ]
+        for f, frame_dets in enumerate(stream)
+    ]
+
+
+def loose_cfg(k_interval):
+    # Short lives and loose merge thresholds, so that tracklets end and any
+    # pair the physical gates pass merges.
+    return TrackerConfig(
+        feature_dim=8,
+        k_interval=k_interval,
+        mu_m=2,
+        mu_d=4,
+        l_rectify=2,
+        theta_rectify=100.0,
+        theta_cluster=100.0,
+    )
+
+
 class TestRowContract:
     """Eval rejects two rows of one identity in one (camera, frame); the
     tracker must never write them."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        stream=st.lists(
-            st.lists(
-                st.tuples(
-                    st.integers(0, 12),  # x on a 10 px grid: crossings and near misses
-                    st.integers(0, 3),  # y
-                    st.integers(0, 2),  # appearance
-                    st.booleans(),  # valid pose
-                ),
-                max_size=4,
-                unique_by=lambda d: (d[0], d[1]),
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        k_interval=st.integers(2, 7),
-    )
+    @given(stream=STREAMS, k_interval=st.integers(2, 7))
     def test_online_run_emits_one_row_per_identity_and_frame(self, stream, k_interval):
-        # Short lives and loose merge thresholds, so that tracklets end,
-        # rectify and cluster between emissions.
-        cfg = TrackerConfig(
-            feature_dim=8,
-            k_interval=k_interval,
-            mu_m=2,
-            mu_d=4,
-            l_rectify=2,
-            theta_rectify=100.0,
-            theta_cluster=100.0,
-        )
-        dets = [
-            det(f, x=100.0 + 10.0 * x, y=100.0 + 10.0 * y, emb=vec(float(a)), valid=v)
-            for f, frame_dets in enumerate(stream)
-            for x, y, a, v in frame_dets
-        ]
+        cfg = loose_cfg(k_interval)
+        dets = [d for frame_dets in stream_frames(stream) for d in frame_dets]
         boxes = {(d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets}
         rows, _ = run_sct(copy.deepcopy(dets), cfg, camera_id=0, offline=False)
         keys = [(r.frame, r.identity) for r in rows]
@@ -845,3 +910,31 @@ class TestRowContract:
         for r in rows:
             assert r.camera_id == 0
             assert (r.frame, r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) in boxes
+
+
+class TestLiveFeatureIsReplay:
+    """A tracklet's fused feature is the fold of its history, whether it
+    grew by matches, rectifying or clustering."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=STREAMS, k_interval=st.integers(2, 7))
+    def test_feature_equals_replay_of_history(self, feature_leaves, stream, k_interval):
+        # Matching and merging share one velocity gate, so a stream tracked
+        # under one config never merges. Alternating a gate narrower than
+        # the grid with a wide one spawns fragments that later merge.
+        narrow = dataclasses.replace(loose_cfg(k_interval), v_max=5.0)
+        wide = dataclasses.replace(narrow, v_max=40.0)
+        state = CameraTrackerState(camera_id=0, cfg=narrow)
+
+        def check():
+            for t in state.tracklets + state.finished:
+                expected = replay_feature(t.observations, narrow)
+                assert feature_leaves(t.fused) == feature_leaves(expected)
+
+        for frame, dets in enumerate(stream_frames(stream)):
+            state.cfg = wide if frame % 2 else narrow
+            step_frame(state, dets, frame)
+            check()
+            if (frame + 1) % k_interval == 0:
+                state, _ = cluster_tracklets(state)
+                check()
