@@ -202,27 +202,11 @@ class TrackerConfig:
             # A float field holds a double, so the config's text reads back equal.
             if f.type == "float":
                 setattr(self, f.name, number)
-        positive = [
-            ("gamma_valid", self.gamma_valid),
-            ("theta_valid", self.theta_valid),
-            ("mu_m", self.mu_m),
-            ("mu_d", self.mu_d),
-            ("k_interval", self.k_interval),
-            ("l_rectify", self.l_rectify),
-            ("theta_rectify", self.theta_rectify),
-            ("theta_cluster", self.theta_cluster),
-            ("theta_mct", self.theta_mct),
-            ("v_max", self.v_max),
-            ("max_gap", self.max_gap),
-            ("feature_dim", self.feature_dim),
-        ]
-        for name, value in positive:
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            # Every count and measure is positive; an integer one is >= 1.
+            if not (math.isfinite(number) and number > 0):
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
         if self.theta_valid >= NUM_KEYPOINTS:
             raise ValueError(f"theta_valid must be < {NUM_KEYPOINTS}")
-        if not (math.isfinite(self.n_c) and self.n_c >= 1):
-            raise ValueError("n_c must be >= 1")
 
 
 def squared_distance(a: np.ndarray, b: np.ndarray) -> float:

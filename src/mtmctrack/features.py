@@ -9,8 +9,12 @@ detections; an invalid detection changes nothing. The paper's fifth part,
 the embedding of an occluded detection from the previous frame, is read
 from the tracklet's history by the matching code.
 
-All update operations are functional: they return a new object and never
-mutate their inputs, so a caller can hold the previous state for free.
+A ``History`` holds the matched detections of a tracklet or a trajectory
+with their fused feature, and joins two histories that do not overlap in
+time by folding the later detections onto the earlier feature.
+
+Every update of a fused feature is functional: it returns a new object and
+never mutates its inputs, so a caller can hold the previous state for free.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BBox,
+    DetectionObservation,
     FORBIDDEN,
     OcclusionStatus,
     TrackerConfig,
@@ -61,21 +67,16 @@ class FusedTrackingFeature:
 
 
 def update_cluster(
-    cluster_set: tuple[MeanSlot, ...],
-    feature: np.ndarray,
-    status: OcclusionStatus,
-    n_c: int,
+    cluster_set: tuple[MeanSlot, ...], feature: np.ndarray, n_c: int
 ) -> tuple[MeanSlot, ...]:
-    """Fold one embedding into the online cluster set.
+    """Fold one valid embedding into the online cluster set.
 
-    Invalid embeddings are ignored. Below the cluster cap a new singleton
-    cluster is opened; at the cap the nearest center (ties to the lowest
-    index) absorbs the embedding via an exact running-mean update.
+    Below the cluster cap a new singleton cluster is opened; at the cap the
+    nearest center (ties to the lowest index) absorbs the embedding via an
+    exact running-mean update.
     """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
-    if status is OcclusionStatus.INVALID:
-        return cluster_set
     if len(cluster_set) < n_c:
         return cluster_set + (MeanSlot(np.array(feature, dtype=np.float64), 1),)
     # Compare the roots, not the squares: two squares can differ while their
@@ -106,7 +107,7 @@ def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTr
     return FusedTrackingFeature(
         current=emb,
         orientation_bank=bank[:o] + (_fold(bank[o], emb),) + bank[o + 1 :],
-        cluster_set=update_cluster(F.cluster_set, emb, det.occlusion, cfg.n_c),
+        cluster_set=update_cluster(F.cluster_set, emb, cfg.n_c),
         avg=_fold(F.avg, emb),
     )
 
@@ -122,13 +123,68 @@ def replay_feature(
     to combine them. A fused feature is the fold of its valid detections
     and nothing else, so when ``start`` is the replay of observations that
     all end before the first of ``observations``, the result is the replay
-    of both lists together, bit for bit. That precondition is the caller's
-    to keep.
+    of both lists together, bit for bit. ``History.absorb`` keeps that
+    precondition.
     """
     F = FusedTrackingFeature() if start is None else start
     for obs in sorted(observations, key=lambda o: o.frame):
         F = update_on_match(F, obs, cfg)
     return F
+
+
+@dataclass(eq=False)
+class History:
+    """The matched detections of a tracklet or trajectory and ``fused``,
+    their replay.
+
+    ``observations`` are the detections themselves, not copies, in strictly
+    increasing frame order: a detection must not change once it is held
+    here. The owner keeps ``fused`` the replay of them; ``absorb`` keeps it
+    across a join.
+    """
+
+    observations: list[DetectionObservation]
+    fused: FusedTrackingFeature
+
+    def __post_init__(self):
+        for a, b in zip(self.observations, self.observations[1:]):
+            if b.frame <= a.frame:
+                raise ValueError(
+                    f"observation frames must strictly increase ({b.frame} after {a.frame})"
+                )
+
+    @property
+    def start_frame(self) -> int:
+        return self.observations[0].frame
+
+    @property
+    def end_frame(self) -> int:
+        return self.observations[-1].frame
+
+    @property
+    def first_bbox(self) -> BBox:
+        return self.observations[0].bbox
+
+    @property
+    def last_bbox(self) -> BBox:
+        return self.observations[-1].bbox
+
+    def __len__(self):
+        return len(self.observations)
+
+    def absorb(self, other: "History", cfg: TrackerConfig) -> None:
+        """Join ``other`` into this history. The later history's detections
+        are folded onto the earlier one's feature and appended to its
+        detections, which equals replaying the union; a pair that overlaps
+        in time is refused."""
+        earlier, later = (self, other) if self.start_frame < other.start_frame else (other, self)
+        if later.start_frame <= earlier.end_frame:
+            raise ValueError(
+                f"histories overlap in time (frames {earlier.start_frame}-"
+                f"{earlier.end_frame} and {later.start_frame}-{later.end_frame})"
+            )
+        self.fused = replay_feature(later.observations, cfg, earlier.fused)
+        self.observations = earlier.observations + later.observations
 
 
 def rectify_distance(

@@ -1,12 +1,15 @@
 """Cross-camera association of completed single-camera trajectories.
 
+A trajectory is the ``History`` of one identity's detections, from one
+camera or several, with the single-camera tracks it was joined from.
 Trajectories are compared with the same appearance distance as tracklet
-clustering and linked greedily. Linked trajectories never overlap in time,
-so after every merge the later one's observations are folded onto the
-earlier one's fused feature, which equals replaying their union. The merged
-trajectory's row and column of the distance matrix are then recomputed,
-including the refreshed camera-overlap and temporal gates. In-camera rows
-are never altered; association only relabels them.
+clustering and linked greedily. A link is ``History.absorb``, the join a
+tracklet merge uses: linked trajectories never overlap in time, so the
+later one's detections are folded onto the earlier one's fused feature,
+which equals replaying their union. The merged trajectory's row and column
+of the distance matrix are then recomputed, including the refreshed
+camera-overlap and temporal gates. In-camera rows are never altered;
+association only relabels them.
 """
 
 from __future__ import annotations
@@ -16,81 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BBox,
-    DetectionObservation,
-    FORBIDDEN,
-    TrackRow,
-    TrackerConfig,
-    forbidden_matrix,
-)
-from .features import FusedTrackingFeature, cluster_distance, replay_feature
+from .core import FORBIDDEN, TrackRow, TrackerConfig, forbidden_matrix
+from .features import History, cluster_distance
 from .sct import physical_constraints_ok
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class TrajectorySegment:
-    """One camera's contiguous contribution to a trajectory: the matched
-    detections, in frame order."""
-
-    camera_id: int
-    source_id: int
-    observations: list[DetectionObservation]
-
-    @property
-    def start_frame(self) -> int:
-        return self.observations[0].frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.observations[-1].frame
-
-
-@dataclass
-class Trajectory:
-    """A merged identity, possibly spanning cameras; its segments are in
-    time order and never overlap."""
+@dataclass(kw_only=True, eq=False)
+class Trajectory(History):
+    """A merged identity, possibly spanning cameras: the ``History`` of its
+    detections over every camera, and ``sources``, the (camera, single-camera
+    track id) pairs it was joined from."""
 
     global_id: int
-    segments: list[TrajectorySegment]
-    fused: FusedTrackingFeature
-
-    def __post_init__(self):
-        for a, b in zip(self.segments, self.segments[1:]):
-            if b.start_frame <= a.end_frame:
-                raise ValueError(
-                    f"trajectory {self.global_id}: segments out of time order or "
-                    f"overlapping (camera {a.camera_id} ends at frame {a.end_frame}, "
-                    f"camera {b.camera_id} starts at frame {b.start_frame})"
-                )
+    sources: list[tuple[int, int]]
 
     @property
     def cameras(self) -> set[int]:
-        return {s.camera_id for s in self.segments}
-
-    @property
-    def start_frame(self) -> int:
-        return self.segments[0].start_frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.segments[-1].end_frame
-
-    @property
-    def first_bbox(self) -> BBox:
-        return self.segments[0].observations[0].bbox
-
-    @property
-    def last_bbox(self) -> BBox:
-        return self.segments[-1].observations[-1].bbox
+        return {camera for camera, _ in self.sources}
 
     def rows(self) -> list[TrackRow]:
         return [
-            TrackRow(s.camera_id, o.frame, self.global_id, o.bbox)
-            for s in self.segments
-            for o in s.observations
+            TrackRow(o.camera_id, o.frame, self.global_id, o.bbox) for o in self.observations
         ]
 
 
@@ -101,7 +52,7 @@ def assign_global_ids(trajs: list[Trajectory]) -> None:
         key=lambda i: (
             trajs[i].start_frame,
             min(trajs[i].cameras),
-            min(s.source_id for s in trajs[i].segments),
+            min(source for _, source in trajs[i].sources),
         ),
     )
     for new_id, idx in enumerate(order, start=1):
@@ -134,10 +85,9 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
     """Greedily link trajectories across cameras below ``theta_mct``.
 
     Each trajectory's ``fused`` must be the replay of its observations, as
-    ``trajectories_from_rows`` builds it. The cheapest pair is merged, the
-    later trajectory's observations folded onto the earlier one's feature
-    (the replay of the union, as the pair cannot overlap in time), and the
-    merged distances to every survivor recomputed before the next pick.
+    ``trajectories_from_rows`` builds it. The cheapest pair is joined by
+    ``History.absorb``, which keeps that so, and the merged distances to
+    every survivor recomputed before the next pick.
     Output global ids are reassigned in order of first appearance.
     """
     trajs = list(trajs)
@@ -154,15 +104,8 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
         if i > j:
             i, j = j, i
         dst, src = trajs[i], trajs[j]
-        earlier, later = (dst, src) if dst.start_frame < src.start_frame else (src, dst)
-        if later.start_frame <= earlier.end_frame:
-            raise ValueError(
-                f"trajectories {dst.global_id} and {src.global_id} overlap in time"
-            )
-        dst.fused = replay_feature(
-            [o for s in later.segments for o in s.observations], cfg, earlier.fused
-        )
-        dst.segments = earlier.segments + later.segments
+        dst.absorb(src, cfg)
+        dst.sources = dst.sources + src.sources
         alive[j] = False
         m[j, :] = FORBIDDEN
         m[:, j] = FORBIDDEN

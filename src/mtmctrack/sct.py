@@ -21,7 +21,6 @@ import numpy as np
 
 from .assignment import greedy_associate, hungarian
 from .core import (
-    BBox,
     DetectionObservation,
     FORBIDDEN,
     OcclusionStatus,
@@ -33,9 +32,9 @@ from .core import (
 )
 from .features import (
     FusedTrackingFeature,
+    History,
     cluster_distance,
     rectify_distance,
-    replay_feature,
     update_on_match,
 )
 from .state_estimation import OrientationEstimator, populate_state
@@ -50,41 +49,18 @@ class TrackingPhase(Enum):
     DISAPPEARED = "disappeared"
 
 
-@dataclass
-class Tracklet:
-    """One identity hypothesis within a single camera.
-
-    ``observations`` are the matched detections themselves, in frame order,
-    not copies: a detection must not change once it is passed to
-    ``step_frame``. ``fused`` is always the replay of them.
+@dataclass(kw_only=True, eq=False)
+class Tracklet(History):
+    """One identity hypothesis within a single camera: the ``History`` of
+    the detections ``step_frame`` matched to it, whose ``fused`` is always
+    their replay, and its lifecycle phase.
     """
 
     id: int
     camera_id: int
     phase: TrackingPhase
-    fused: FusedTrackingFeature
-    observations: list[DetectionObservation]
     miss_count: int = 0
     ever_confirmed: bool = False
-
-    @property
-    def start_frame(self) -> int:
-        return self.observations[0].frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.observations[-1].frame
-
-    @property
-    def first_bbox(self) -> BBox:
-        return self.observations[0].bbox
-
-    @property
-    def last_bbox(self) -> BBox:
-        return self.observations[-1].bbox
-
-    def __len__(self):
-        return len(self.observations)
 
     def append_observation(self, det: DetectionObservation) -> None:
         if self.observations and det.frame <= self.end_frame:
@@ -109,7 +85,6 @@ class CameraTrackerState:
     next_id: int = 1
     current_frame: Optional[int] = None
     last_emit_frame: Optional[int] = None
-    id_aliases: dict[int, int] = field(default_factory=dict)
 
 
 def compute_distance_matrix(
@@ -249,13 +224,12 @@ def init_tracklet(det: DetectionObservation, state: CameraTrackerState) -> Track
     return t
 
 
-def physical_constraints_ok(a, b, cfg: TrackerConfig, check_velocity: bool = True) -> bool:
+def physical_constraints_ok(
+    a: History, b: History, cfg: TrackerConfig, check_velocity: bool = True
+) -> bool:
     """The three association vetoes: no temporal overlap, no implausible
     jump between the former's last box and the latter's first box, and no
-    gap beyond ``max_gap`` frames.
-
-    Works on anything exposing start_frame/end_frame/first_bbox/last_bbox.
-    """
+    gap beyond ``max_gap`` frames."""
     if a.start_frame <= b.end_frame and b.start_frame <= a.end_frame:
         return False
     former, latter = (a, b) if a.end_frame < b.start_frame else (b, a)
@@ -268,17 +242,15 @@ def physical_constraints_ok(a, b, cfg: TrackerConfig, check_velocity: bool = Tru
     return True
 
 
-def _merge_tracklets(dst: Tracklet, src: Tracklet, cfg: TrackerConfig) -> None:
-    """Absorb ``src`` into ``dst`` (dst keeps its id). The later history is
-    appended to the earlier one and folded onto the earlier fused feature,
-    which equals replaying the union as the two cannot overlap in time."""
-    earlier, later = (dst, src) if dst.start_frame < src.start_frame else (src, dst)
-    if later.start_frame <= earlier.end_frame:
-        raise ValueError(f"merge of tracklets {dst.id} and {src.id} overlaps in time")
-    dst.fused = replay_feature(later.observations, cfg, earlier.fused)
-    dst.observations = earlier.observations + later.observations
-    dst.miss_count = later.miss_count
+def _merge_tracklets(state: CameraTrackerState, dst: Tracklet, src: Tracklet) -> None:
+    """Absorb ``src`` into ``dst`` and drop it from the live set. ``dst``
+    keeps its id and takes the phase and miss count of whichever of the two
+    ends later."""
+    later = src if src.end_frame > dst.end_frame else dst
+    dst.absorb(src, state.cfg)
+    dst.phase, dst.miss_count = later.phase, later.miss_count
     dst.ever_confirmed = dst.ever_confirmed or src.ever_confirmed
+    state.tracklets.remove(src)
 
 
 def rectify(state: CameraTrackerState) -> CameraTrackerState:
@@ -305,10 +277,8 @@ def rectify(state: CameraTrackerState) -> CameraTrackerState:
                 m[i, j] = rectify_distance(ti.fused, tj.fused, cfg)
     for i, j in greedy_associate(m, cfg.theta_rectify):
         dst, src = invisibles[i], confirmeds[j]
-        _merge_tracklets(dst, src, cfg)
+        _merge_tracklets(state, dst, src)
         dst.phase = TrackingPhase.CONFIRMED
-        state.id_aliases[src.id] = dst.id
-        state.tracklets.remove(src)
         logger.debug(
             "camera %d: rectified tracklet %d into %d", state.camera_id, src.id, dst.id
         )
@@ -355,11 +325,7 @@ def cluster_tracklets(state: CameraTrackerState) -> tuple[CameraTrackerState, li
         else:
             dst_idx, src_idx = rj, ri
         dst, src = live[dst_idx], live[src_idx]
-        dst_phase = dst.phase if dst.end_frame > src.end_frame else src.phase
-        _merge_tracklets(dst, src, cfg)
-        dst.phase = dst_phase
-        state.id_aliases[src.id] = dst.id
-        state.tracklets.remove(src)
+        _merge_tracklets(state, dst, src)
         rep[src_idx] = dst_idx
         logger.debug(
             "camera %d: clustered tracklet %d into %d", state.camera_id, src.id, dst.id

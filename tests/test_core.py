@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,15 @@ class TestTypes:
             TrackerConfig(n_c=0)
         with pytest.raises(ValueError):
             TrackerConfig(mu_m=-1)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(TrackerConfig) if f.type != "bool"]
+    )
+    def test_config_rejects_non_positive(self, name, value):
+        # Every count and measure is positive; for an integer that is >= 1.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            TrackerConfig(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value, kind",

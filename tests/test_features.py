@@ -16,6 +16,7 @@ from mtmctrack.core import (
 )
 from mtmctrack.features import (
     FusedTrackingFeature,
+    History,
     MeanSlot,
     cluster_distance,
     rectify_distance,
@@ -23,6 +24,7 @@ from mtmctrack.features import (
     update_cluster,
     update_on_match,
 )
+from mtmctrack.mct import Trajectory
 from mtmctrack.sct import Tracklet, TrackingPhase, compute_distance_matrix
 
 
@@ -63,7 +65,9 @@ def det_distance(F, embedding, orientation=Orientation.FRONT, cfg=CFG):
         0, 0, box, 1.0, PoseKeypoints(np.full((17, 3), 0.9)), vec(0),
         OcclusionStatus.VALID, orientation,
     )
-    t = Tracklet(1, 0, TrackingPhase.CONFIRMED, F, [record])
+    t = Tracklet(
+        id=1, camera_id=0, phase=TrackingPhase.CONFIRMED, fused=F, observations=[record]
+    )
     det = DetectionObservation(
         camera_id=0,
         frame=1,
@@ -100,23 +104,18 @@ def norm_argmin(clusters, feature) -> int:
 
 class TestUpdateCluster:
     def test_first_valid_feature_opens_cluster(self):
-        result = update_cluster((), vec(1, 2), OcclusionStatus.VALID, 4)
+        result = update_cluster((), vec(1, 2), 4)
         assert len(result) == 1
         assert np.array_equal(result[0].mean, vec(1, 2))
         assert result[0].count == 1
-
-    def test_invalid_feature_is_ignored(self):
-        start = update_cluster((), vec(1), OcclusionStatus.VALID, 4)
-        after = update_cluster(start, vec(9), OcclusionStatus.INVALID, 4)
-        assert after is start
 
     def test_nearest_cluster_absorbs_at_cap(self):
         cs = ()
         anchors = [vec(0), vec(10), vec(20), vec(30)]
         for a in anchors:
-            cs = update_cluster(cs, a, OcclusionStatus.VALID, 4)
+            cs = update_cluster(cs, a, 4)
         newcomer = vec(21)
-        cs2 = update_cluster(cs, newcomer, OcclusionStatus.VALID, 4)
+        cs2 = update_cluster(cs, newcomer, 4)
         assert len(cs2) == 4
         # Only cluster 2 moved, to the mean of its members.
         for idx in (0, 1, 3):
@@ -131,12 +130,10 @@ class TestUpdateCluster:
         shadow = []  # member features per cluster
         for _ in range(300):
             f = rng.normal(size=8) * 10
-            status = OcclusionStatus.VALID if rng.random() < 0.8 else OcclusionStatus.INVALID
+            if rng.random() >= 0.8:
+                continue  # an invalid detection never reaches the cluster set
             before = cs
-            cs = update_cluster(cs, f, status, 4)
-            if status is OcclusionStatus.INVALID:
-                assert cs is before
-                continue
+            cs = update_cluster(cs, f, 4)
             if len(before) < 4:
                 shadow.append([f])
             else:
@@ -149,7 +146,7 @@ class TestUpdateCluster:
 
     def test_tie_goes_to_lowest_index(self):
         cs = (MeanSlot(vec(0), 1), MeanSlot(vec(2), 1))
-        out = update_cluster(cs, vec(1), OcclusionStatus.VALID, 2)
+        out = update_cluster(cs, vec(1), 2)
         assert out[0].count == 2
         assert out[1].count == 1
 
@@ -172,7 +169,7 @@ class TestUpdateCluster:
 
         cs = tuple(MeanSlot(draw(), int(rng.integers(1, 4))) for _ in range(n_c))
         f = draw()
-        out = update_cluster(cs, f, OcclusionStatus.VALID, n_c)
+        out = update_cluster(cs, f, n_c)
         k = norm_argmin(cs, f)
         assert absorbing_index(cs, out) == k
         old = cs[k]
@@ -194,7 +191,7 @@ class TestUpdateCluster:
             if not (sq_near < sq_far and math.sqrt(sq_near) == math.sqrt(sq_far)):
                 continue
             cs = (MeanSlot(far, 1), MeanSlot(near, 1))
-            out = update_cluster(cs, f, OcclusionStatus.VALID, 2)
+            out = update_cluster(cs, f, 2)
             assert norm_argmin(cs, f) == 0
             assert absorbing_index(cs, out) == 0
             checked += 1
@@ -502,3 +499,70 @@ class TestReplay:
         for r in records:
             incremental = update_on_match(incremental, r, CFG)
         assert feature_leaves(replay_feature(records, CFG)) == feature_leaves(incremental)
+
+
+def history_records(frames):
+    """Detections at ``frames`` over every orientation, some of them invalid."""
+    return [
+        DetectionObservation(
+            camera_id=0,
+            frame=f,
+            bbox=BBox(100.0 + f, 100.0, 40.0, 80.0),
+            det_confidence=0.9,
+            pose=PoseKeypoints(np.full((17, 3), 0.9)),
+            embedding=vec(5.0 + 0.1 * f, f % 3),
+            occlusion=OcclusionStatus.INVALID if f % 5 == 2 else OcclusionStatus.VALID,
+            orientation=list(Orientation)[f % 4],
+        )
+        for f in frames
+    ]
+
+
+def history(frames):
+    records = history_records(frames)
+    return History(records, replay_feature(records, CFG))
+
+
+class TestHistory:
+    @pytest.mark.parametrize("frames", [[0, 2, 1], [0, 1, 1]])
+    @pytest.mark.parametrize("kind", [Tracklet, Trajectory])
+    def test_frames_that_do_not_increase_are_refused(self, kind, frames):
+        records = history_records(frames)
+        owner = (
+            {"id": 1, "camera_id": 0, "phase": TrackingPhase.CONFIRMED}
+            if kind is Tracklet
+            else {"global_id": 1, "sources": [(0, 1)]}
+        )
+        with pytest.raises(ValueError, match="frames must strictly increase"):
+            kind(observations=records, fused=FusedTrackingFeature(), **owner)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(st.integers(0, 40), min_size=2, max_size=20, unique=True),
+        cut=st.integers(1, 19),
+    )
+    def test_absorb_either_way_is_the_replay_of_the_union(self, feature_leaves, frames, cut):
+        frames = sorted(frames)
+        cut = min(cut, len(frames) - 1)
+        union = history_records(frames)
+        expected = feature_leaves(replay_feature(union, CFG))
+        for keep_earlier in (True, False):
+            earlier = History(union[:cut], replay_feature(union[:cut], CFG))
+            later = History(union[cut:], replay_feature(union[cut:], CFG))
+            dst, src = (earlier, later) if keep_earlier else (later, earlier)
+            dst.absorb(src, CFG)
+            assert [id(o) for o in dst.observations] == [id(o) for o in union]
+            assert feature_leaves(dst.fused) == expected
+
+    @pytest.mark.parametrize(
+        "a_frames, b_frames", [([0, 2], [1, 3]), ([0, 5], [5, 6]), ([0, 9], [3, 4])]
+    )
+    def test_overlapping_pair_is_refused_and_left_as_it_was(
+        self, feature_leaves, a_frames, b_frames
+    ):
+        pairs = [(history(a_frames), history(b_frames)), (history(b_frames), history(a_frames))]
+        for dst, src in pairs:
+            before = (list(dst.observations), feature_leaves(dst.fused))
+            with pytest.raises(ValueError, match="overlap in time"):
+                dst.absorb(src, CFG)
+            assert (dst.observations, feature_leaves(dst.fused)) == before

@@ -13,13 +13,7 @@ from mtmctrack.core import (
     TrackerConfig,
 )
 from mtmctrack.features import MeanSlot, replay_feature
-from mtmctrack.mct import (
-    Trajectory,
-    TrajectorySegment,
-    associate_mct,
-    build_mct_matrix,
-    run_mct,
-)
+from mtmctrack.mct import Trajectory, associate_mct, build_mct_matrix, run_mct
 
 CFG = TrackerConfig(feature_dim=8)
 
@@ -49,9 +43,10 @@ def obs(frame, x=100.0, emb=None, camera=0):
 def traj(gid, camera, frames, emb, x=100.0):
     records = [obs(f, x=x, emb=emb, camera=camera) for f in frames]
     return Trajectory(
-        global_id=gid,
-        segments=[TrajectorySegment(camera, gid, records)],
+        observations=records,
         fused=replay_feature(records, CFG),
+        global_id=gid,
+        sources=[(camera, gid)],
     )
 
 
@@ -119,7 +114,7 @@ class TestAssociate:
         out = associate_mct([a, b], CFG)
         assert len(out) == 1
         assert out[0].cameras == {0, 1}
-        assert [s.camera_id for s in out[0].segments] == [0, 1]
+        assert [o.camera_id for o in out[0].observations] == [0] * 5 + [1] * 5
 
     def test_merge_forbids_future_camera_conflicts(self):
         # A (cam0) + B (cam1) merge first; C (cam1) is close to A but the
@@ -137,16 +132,15 @@ class TestAssociate:
         b = traj(2, 1, range(10, 15), vec(5.0, 8.0))   # distance 8 to a
         c = traj(3, 1, range(30, 35), vec(5.0, 1.0))   # distance 1 to a
         out = associate_mct([a, b, c], CFG)
-        merged = next(t for t in out if len(t.segments) == 2)
-        assert {s.source_id for s in merged.segments} == {1, 3}
+        merged = next(t for t in out if len(t.sources) == 2)
+        assert {source for _, source in merged.sources} == {1, 3}
 
     def test_row_multiset_preserved(self):
         a = traj(1, 0, range(0, 5), vec(5.0))
         b = traj(2, 1, range(10, 15), vec(5.2))
         c = traj(3, 1, range(30, 35), vec(0.0, 30.0))
         rows_before = sorted(
-            (s.camera_id, o.frame, o.bbox.x) for t in (a, b, c) for s in t.segments
-            for o in s.observations
+            (o.camera_id, o.frame, o.bbox.x) for t in (a, b, c) for o in t.observations
         )
         rows = run_mct([a, b, c], CFG)
         rows_after = sorted((r.camera_id, r.frame, r.bbox.x) for r in rows)
@@ -179,15 +173,10 @@ class TestAssociate:
                 start += length + int(rng.integers(1, 5))
         out = associate_mct(trajs, CFG)
         for t in out:
-            per_cam = {}
-            for s in t.segments:
-                per_cam.setdefault(s.camera_id, []).append(
-                    (s.start_frame, s.end_frame)
-                )
-            for spans in per_cam.values():
-                spans.sort()
-                for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-                    assert e1 < s2
+            cameras = [camera for camera, _ in t.sources]
+            assert len(cameras) == len(set(cameras))
+            frames = [o.frame for o in t.observations]
+            assert all(f1 < f2 for f1, f2 in zip(frames, frames[1:]))
 
     def test_accepted_costs_within_threshold(self):
         # Chain merges never exceed theta_mct at acceptance time: verify
@@ -226,8 +215,8 @@ class TestAssociate:
         rows_before = row_keys(r for t in trajs for r in t.rows())
         out = associate_mct(trajs, CFG)
         for t in out:
-            segs = t.segments
-            assert all(a.end_frame < b.start_frame for a, b in zip(segs, segs[1:]))
+            frames = [o.frame for o in t.observations]
+            assert all(f1 < f2 for f1, f2 in zip(frames, frames[1:]))
             assert {r.identity for r in t.rows()} == {t.global_id}
         assert sorted(t.global_id for t in out) == list(range(1, len(out) + 1))
         assert row_keys(r for t in out for r in t.rows()) == rows_before
@@ -243,32 +232,39 @@ class TestAssociate:
         assert first_by_id[2] == 50
 
 
+def joined(first, second):
+    """A trajectory built directly from two sources' detections, in the
+    order given."""
+    return Trajectory(
+        observations=first + second,
+        fused=replay_feature([], CFG),
+        global_id=1,
+        sources=[(first[0].camera_id, 1), (second[0].camera_id, 2)],
+    )
+
+
 class TestTrajectoryValidation:
     def test_same_camera_overlap_rejected_at_construction(self):
-        seg1 = TrajectorySegment(0, 1, [obs(f) for f in range(0, 10)])
-        seg2 = TrajectorySegment(0, 2, [obs(f) for f in range(5, 15)])
         with pytest.raises(ValueError):
-            Trajectory(global_id=1, segments=[seg1, seg2], fused=replay_feature([], CFG))
+            joined([obs(f) for f in range(0, 10)], [obs(f) for f in range(5, 15)])
 
     def test_segments_out_of_time_order_rejected(self):
-        later = TrajectorySegment(0, 1, [obs(f) for f in range(10, 15)])
-        earlier = TrajectorySegment(1, 2, [obs(f, camera=1) for f in range(0, 5)])
-        with pytest.raises(ValueError, match="out of time order"):
-            Trajectory(global_id=1, segments=[later, earlier], fused=replay_feature([], CFG))
-        t = Trajectory(global_id=1, segments=[earlier, later], fused=replay_feature([], CFG))
+        later = [obs(f) for f in range(10, 15)]
+        earlier = [obs(f, camera=1) for f in range(0, 5)]
+        with pytest.raises(ValueError, match="frames must strictly increase"):
+            joined(later, earlier)
+        t = joined(earlier, later)
         assert (t.start_frame, t.end_frame, t.cameras) == (0, 14, {0, 1})
 
     def test_two_cameras_overlapping_in_time_rejected(self):
-        seg1 = TrajectorySegment(0, 1, [obs(f) for f in range(0, 10)])
-        seg2 = TrajectorySegment(1, 2, [obs(f, camera=1) for f in range(9, 15)])
-        with pytest.raises(ValueError, match="overlapping"):
-            Trajectory(global_id=1, segments=[seg1, seg2], fused=replay_feature([], CFG))
+        with pytest.raises(ValueError, match=r"frames must strictly increase \(9 after 9\)"):
+            joined([obs(f) for f in range(0, 10)], [obs(f, camera=1) for f in range(9, 15)])
 
 
 class TestStateAndFilePathsAgree:
     def test_in_process_and_file_driven_mct_match(self, tmp_path):
         """Every tracklet a live tracker state emitted comes back from the
-        written rows as one single-segment trajectory with the same camera,
+        written rows as one single-source trajectory with the same camera,
         source id, frames, boxes and embeddings."""
         from mtmctrack.fileio import parse_detections, write_detections
         from mtmctrack.pipeline import trajectories_from_rows
@@ -297,15 +293,12 @@ class TestStateAndFilePathsAgree:
         fresh_dets = parse_detections(det_path, cfg.feature_dim)
         from_rows = trajectories_from_rows(all_rows, fresh_dets, cfg)
 
-        assert all(len(traj.segments) == 1 for traj in from_rows)
-        by_source = {
-            (traj.segments[0].camera_id, traj.segments[0].source_id): traj
-            for traj in from_rows
-        }
+        assert all(len(traj.sources) == 1 for traj in from_rows)
+        by_source = {traj.sources[0]: traj for traj in from_rows}
         assert len(by_source) == len(from_rows)
         assert set(by_source) == set(emitted)
         for key, t in emitted.items():
-            got = by_source[key].segments[0].observations
+            got = by_source[key].observations
             assert [o.frame for o in got] == [o.frame for o in t.observations]
             assert [o.bbox for o in got] == [o.bbox for o in t.observations]
             for o_got, o_live in zip(got, t.observations):
@@ -337,7 +330,9 @@ class TestMergedFeature:
         b_obs = records(range(12, 20), 5.1)
         c_obs = records(range(25, 33), 60.0)
         trajs = [
-            Trajectory(gid, [TrajectorySegment(cam, gid, o)], replay_feature(o, CFG))
+            Trajectory(
+                observations=o, fused=replay_feature(o, CFG), global_id=gid, sources=[(cam, gid)]
+            )
             for gid, cam, o in ((1, 0, a_obs), (2, 1, b_obs), (3, 2, c_obs))
         ]
         out = associate_mct(trajs, CFG)
@@ -381,7 +376,7 @@ class TestMergedFeature:
         assert feature_leaves(folded) == feature_leaves(replay_feature(records, CFG))
 
     def test_link_folds_only_the_later_trajectory(self, monkeypatch, feature_leaves):
-        import mtmctrack.mct as mct_module
+        import mtmctrack.features as features_module
 
         folded = []
 
@@ -389,14 +384,12 @@ class TestMergedFeature:
             folded.append(len(observations))
             return replay_feature(observations, cfg, start)
 
-        monkeypatch.setattr(mct_module, "replay_feature", counting)
+        monkeypatch.setattr(features_module, "replay_feature", counting)
         # The later trajectory comes first in the list, so it is the one
         # the merge keeps.
         a = traj(1, 1, range(20, 26), vec(5.0))
         b = traj(2, 0, range(0, 8), vec(5.1))
-        expected = replay_feature(
-            [o for t in (b, a) for s in t.segments for o in s.observations], CFG
-        )
+        expected = replay_feature(b.observations + a.observations, CFG)
         (merged,) = associate_mct([a, b], CFG)
         assert folded == [6]
         assert feature_leaves(merged.fused) == feature_leaves(expected)

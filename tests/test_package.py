@@ -45,6 +45,41 @@ def test_every_config_field_is_read():
     assert [name for name in fields if name not in read] == []
 
 
+def test_every_class_field_is_read():
+    # A field that is only ever written records state that changes nothing.
+    # The synthetic generator's diagnostics exist for the tests, so it is
+    # left out. Writing into a field's dict or list is not a read of it.
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        written_into = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in written_into
+        )
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "synth.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                unread += [
+                    f"{cls.name}.{node.target.id}"
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id not in read
+                ]
+    assert unread == []
+
+
 def test_every_exported_name_resolves():
     assert [name for name in mtmctrack.__all__ if not hasattr(mtmctrack, name)] == []
 

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtmctrack.core import (
     BBox,
@@ -617,7 +617,7 @@ class TestRectify:
         assert merged.id == 1  # invisible keeps its id
         assert merged.phase is TrackingPhase.CONFIRMED
         assert [o.frame for o in merged.observations] == [0, 1, 2, 3, 4, 20, 21, 22, 23]
-        assert state.id_aliases == {2: 1}
+        assert 2 not in [t.id for t in state.tracklets + state.finished]
 
     def test_distant_fragments_stay_apart(self):
         cfg = rectify_cfg()
@@ -659,19 +659,27 @@ class TestRectify:
 
         for dst_is_earlier in (True, False):
             earlier, later = fragment(1, range(0, 9)), fragment(2, range(15, 26))
+            earlier.phase, earlier.miss_count = TrackingPhase.INVISIBLE, 6
+            later.miss_count = 3
             union = earlier.observations + later.observations
             dst, src = (earlier, later) if dst_is_earlier else (later, earlier)
-            _merge_tracklets(dst, src, cfg)
+            state = CameraTrackerState(camera_id=0, cfg=cfg, tracklets=[earlier, later])
+            _merge_tracklets(state, dst, src)
+            assert state.tracklets == [dst]
             assert [id(o) for o in dst.observations] == [id(o) for o in union]
             assert feature_leaves(dst.fused) == feature_leaves(replay_feature(union, cfg))
+            # The merged tracklet lives on as the one that ends later.
+            assert (dst.phase, dst.miss_count) == (TrackingPhase.CONFIRMED, 3)
 
     def test_merge_of_interleaved_tracklets_is_refused(self):
         # The gates forbid such a pair; the fold must refuse it rather than
         # return a feature that is not the replay of the union.
         a = tracklet_from_dets(1, [det(0), det(2)])
         b = tracklet_from_dets(2, [det(1), det(3)])
-        with pytest.raises(ValueError, match="overlaps in time"):
-            _merge_tracklets(a, b, CFG)
+        state = CameraTrackerState(camera_id=0, cfg=CFG, tracklets=[a, b])
+        with pytest.raises(ValueError, match="overlap in time"):
+            _merge_tracklets(state, a, b)
+        assert state.tracklets == [a, b]
 
 
 class TestClusterTracklets:
@@ -798,8 +806,8 @@ class TestRunSct:
 
     def test_structural_invariants_on_stressful_scenario(self):
         """Replay the crowded preset and audit the final tracker state:
-        unique ids, strictly increasing observation frames, sane phases,
-        alias targets that exist, and rows drawn from real observations."""
+        unique ids, strictly increasing observation frames, sane phases and
+        rows drawn from real observations."""
         from mtmctrack.synth import generate_scenario, scenario_presets
 
         data = generate_scenario(scenario_presets()["occlusion_heavy"])
@@ -818,10 +826,6 @@ class TestRunSct:
             assert t.phase is not TrackingPhase.DISAPPEARED
         for t in state.finished:
             assert t.phase is TrackingPhase.DISAPPEARED
-        live_ids = set(ids)
-        for src, dst in state.id_aliases.items():
-            assert src not in live_ids
-            assert dst in live_ids or dst in state.id_aliases
         # Every emitted row corresponds to one stored observation.
         obs_keys = {
             (t.id, o.frame, o.bbox.x, o.bbox.y) for t in everything for o in t.observations
@@ -869,6 +873,18 @@ STREAMS = st.lists(
 )
 
 
+# Under ``alternating_gates(2)`` this stream merges once by rectifying and
+# once by clustering.
+MERGING_STREAM = [
+    [],
+    [(0, 1, 0, True), (1, 0, 1, True)],
+    [(0, 0, 0, True)],
+    [(0, 0, 0, False), (1, 0, 0, False)],
+    [(0, 1, 0, True)],
+    [],
+]
+
+
 def stream_frames(stream):
     """The detections of each frame of a ``STREAMS`` example."""
     return [
@@ -894,17 +910,52 @@ def loose_cfg(k_interval):
     )
 
 
+def alternating_gates(k_interval):
+    """Configs for even and odd frames. Matching and merging share one
+    velocity gate, so a stream tracked under one config never merges.
+    Alternating a gate narrower than the grid with a wide one spawns
+    fragments that later merge."""
+    narrow = dataclasses.replace(loose_cfg(k_interval), v_max=5.0)
+    return narrow, dataclasses.replace(narrow, v_max=40.0)
+
+
 class TestRowContract:
     """Eval rejects two rows of one identity in one (camera, frame); the
-    tracker must never write them."""
+    tracker must never write them, also after a merge."""
+
+    @staticmethod
+    def track(stream, k_interval):
+        """``run_sct``'s online schedule, with the gate switched every frame."""
+        narrow, wide = alternating_gates(k_interval)
+        state = CameraTrackerState(camera_id=0, cfg=narrow)
+        frames = stream_frames(stream)
+        rows = []
+        for frame, dets in enumerate(frames):
+            state.cfg = wide if frame % 2 else narrow
+            step_frame(state, dets, frame)
+            if (frame + 1) % k_interval == 0:
+                state, emitted = cluster_tracklets(state)
+                rows += emitted
+        if state.last_emit_frame != len(frames) - 1:
+            state, emitted = cluster_tracklets(state)
+            rows += emitted
+        return state, rows
+
+    def test_pinned_stream_merges(self):
+        state, _ = self.track(MERGING_STREAM, 2)
+        spawned = state.next_id - 1
+        assert spawned - len(state.tracklets) - len(state.finished) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(stream=STREAMS, k_interval=st.integers(2, 7))
+    @example(stream=MERGING_STREAM, k_interval=2)
     def test_online_run_emits_one_row_per_identity_and_frame(self, stream, k_interval):
-        cfg = loose_cfg(k_interval)
-        dets = [d for frame_dets in stream_frames(stream) for d in frame_dets]
-        boxes = {(d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets}
-        rows, _ = run_sct(copy.deepcopy(dets), cfg, camera_id=0, offline=False)
+        _, rows = self.track(stream, k_interval)
+        boxes = {
+            (d.frame, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h)
+            for dets in stream_frames(stream)
+            for d in dets
+        }
         keys = [(r.frame, r.identity) for r in rows]
         assert len(keys) == len(set(keys))
         for r in rows:
@@ -919,11 +970,7 @@ class TestLiveFeatureIsReplay:
     @settings(max_examples=60, deadline=None)
     @given(stream=STREAMS, k_interval=st.integers(2, 7))
     def test_feature_equals_replay_of_history(self, feature_leaves, stream, k_interval):
-        # Matching and merging share one velocity gate, so a stream tracked
-        # under one config never merges. Alternating a gate narrower than
-        # the grid with a wide one spawns fragments that later merge.
-        narrow = dataclasses.replace(loose_cfg(k_interval), v_max=5.0)
-        wide = dataclasses.replace(narrow, v_max=40.0)
+        narrow, wide = alternating_gates(k_interval)
         state = CameraTrackerState(camera_id=0, cfg=narrow)
 
         def check():
