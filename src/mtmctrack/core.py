@@ -205,8 +205,12 @@ class TrackerConfig:
             # Every count and measure is positive; an integer one is >= 1.
             if not (math.isfinite(number) and number > 0):
                 raise ValueError(f"{f.name} must be positive and finite, got {value}")
+        # A keypoint confidence lies in [0, 1] and is visible only strictly
+        # above gamma_valid, so past these bounds no embedding is ever valid.
         if self.theta_valid >= NUM_KEYPOINTS:
             raise ValueError(f"theta_valid must be < {NUM_KEYPOINTS}")
+        if self.gamma_valid >= 1:
+            raise ValueError(f"gamma_valid must be < 1, got {self.gamma_valid}")
 
 
 def squared_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -139,8 +139,7 @@ class History:
 
     ``observations`` are the detections themselves, not copies, in strictly
     increasing frame order: a detection must not change once it is held
-    here. The owner keeps ``fused`` the replay of them; ``absorb`` keeps it
-    across a join.
+    here. ``append`` and ``absorb`` keep ``fused`` the replay of them.
     """
 
     observations: list[DetectionObservation]
@@ -171,6 +170,16 @@ class History:
 
     def __len__(self):
         return len(self.observations)
+
+    def append(self, det: DetectionObservation, cfg: TrackerConfig) -> None:
+        """Fold ``det`` into ``fused`` and hold it; its frame must be later
+        than the last one held."""
+        if self.observations and det.frame <= self.end_frame:
+            raise ValueError(
+                f"observation frames must strictly increase ({det.frame} after {self.end_frame})"
+            )
+        self.fused = update_on_match(self.fused, det, cfg)
+        self.observations.append(det)
 
     def absorb(self, other: "History", cfg: TrackerConfig) -> None:
         """Join ``other`` into this history. The later history's detections

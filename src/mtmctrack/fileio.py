@@ -260,7 +260,8 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
 
 
 def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
-    """Flat "key = value" config; unknown keys are rejected to catch typos.
+    """Flat "key = value" config; unknown and repeated keys are rejected to
+    catch typos.
 
     Missing keys keep their defaults; a missing path means all defaults.
     Boolean switches take exactly 0 or 1. A value with a ``_`` is rejected,
@@ -272,6 +273,7 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     # "bool", "int" or "float".
     kinds = {f.name: f.type for f in dataclasses.fields(TrackerConfig)}
     values = {}
+    first_line = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -284,6 +286,9 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
             raw = raw.strip()
             if key not in kinds:
                 raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ParseError(f"{path}: line {lineno}: {key} repeats line {first_line[key]}")
+            first_line[key] = lineno
             if "_" in raw:
                 raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
             try:

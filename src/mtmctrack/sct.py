@@ -3,10 +3,12 @@ tracklet rectifying and tracklet clustering.
 
 A camera is processed strictly frame by frame. Each frame runs: populate
 detection state, build the tracklet-detection distance matrix, solve it
-with the Hungarian solver, update matched tracklets, age unmatched ones,
-spawn tracklets from unmatched detections, then rectify fragmented
-tracklets. Every ``k_interval`` frames the tracklet set is clustered and
-the window's rows are emitted.
+with the Hungarian solver, append each match to its tracklet, spawn
+tracklets from unmatched detections, rectify fragmented tracklets, then
+retire the tracklets that have disappeared. A tracklet's lifecycle phase is
+not stored; ``phase_of`` reads it from the tracklet's history. Every
+``k_interval`` frames the tracklet set is clustered and the window's rows
+are emitted.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .features import (
     History,
     cluster_distance,
     rectify_distance,
-    update_on_match,
 )
 from .state_estimation import OrientationEstimator, populate_state
 
@@ -53,22 +54,11 @@ class TrackingPhase(Enum):
 class Tracklet(History):
     """One identity hypothesis within a single camera: the ``History`` of
     the detections ``step_frame`` matched to it, whose ``fused`` is always
-    their replay, and its lifecycle phase.
+    their replay. Its lifecycle phase is read from that history by
+    ``phase_of``.
     """
 
     id: int
-    camera_id: int
-    phase: TrackingPhase
-    miss_count: int = 0
-    ever_confirmed: bool = False
-
-    def append_observation(self, det: DetectionObservation) -> None:
-        if self.observations and det.frame <= self.end_frame:
-            raise ValueError(
-                f"tracklet {self.id}: observation frames must strictly increase "
-                f"({det.frame} after {self.end_frame})"
-            )
-        self.observations.append(det)
 
 
 @dataclass
@@ -129,8 +119,6 @@ def compute_distance_matrix(
         )
     first_frame = min(det.frame for det in dets)
     for i, t in enumerate(tracklets):
-        if t.phase is TrackingPhase.DISAPPEARED:
-            raise ValueError("disappeared tracklets cannot participate in matching")
         end = t.end_frame
         if first_frame <= end:
             raise ValueError("detection must be later than the tracklet's last frame")
@@ -163,62 +151,32 @@ def compute_distance_matrix(
     return m
 
 
-def phase_on_match(t: Tracklet, det_status: OcclusionStatus) -> TrackingPhase:
-    """Phase transition for a matched tracklet; resets the miss counter."""
-    if t.phase is TrackingPhase.DISAPPEARED:
-        raise ValueError("cannot match a disappeared tracklet")
-    if t.phase is TrackingPhase.INVISIBLE:
-        t.phase = TrackingPhase.CONFIRMED
-    elif t.phase is TrackingPhase.TENTATIVE:
-        if det_status is OcclusionStatus.VALID:
-            t.phase = TrackingPhase.CONFIRMED
-    t.miss_count = 0
-    if t.phase is TrackingPhase.CONFIRMED:
-        t.ever_confirmed = True
-    return t.phase
+def phase_of(t: History, frame: int, cfg: TrackerConfig) -> TrackingPhase:
+    """The lifecycle phase of tracklet ``t`` at ``frame``, read from its history.
 
-
-def phase_on_miss(t: Tracklet, cfg: TrackerConfig) -> TrackingPhase:
-    """Phase transition for an unmatched tracklet.
-
-    Tentative dies on its first miss. Confirmed turns Invisible after
-    ``mu_m`` consecutive misses; the counter restarts on phase entry and
-    Invisible dies after ``mu_d`` further misses.
+    ``step_frame`` processes every frame, skipped ones as empty, and each
+    frame matches or misses a live tracklet, so ``frame - end_frame`` counts
+    its misses. A tracklet turns Confirmed when it takes its first valid
+    detection, which sets ``fused.avg``; before that it is Tentative and
+    dies on its first miss. A Confirmed one turns Invisible at ``mu_m``
+    misses and disappears ``mu_d`` misses later.
     """
-    if t.phase is TrackingPhase.DISAPPEARED:
-        raise ValueError("cannot miss a disappeared tracklet")
-    t.miss_count += 1
-    if t.phase is TrackingPhase.TENTATIVE:
-        t.phase = TrackingPhase.DISAPPEARED
-    elif t.phase is TrackingPhase.CONFIRMED and t.miss_count >= cfg.mu_m:
-        t.phase = TrackingPhase.INVISIBLE
-        t.miss_count = 0
-    elif t.phase is TrackingPhase.INVISIBLE and t.miss_count >= cfg.mu_d:
-        t.phase = TrackingPhase.DISAPPEARED
-    return t.phase
+    misses = frame - t.end_frame
+    if t.fused.avg is None:
+        return TrackingPhase.TENTATIVE if misses == 0 else TrackingPhase.DISAPPEARED
+    if misses < cfg.mu_m:
+        return TrackingPhase.CONFIRMED
+    if misses < cfg.mu_m + cfg.mu_d:
+        return TrackingPhase.INVISIBLE
+    return TrackingPhase.DISAPPEARED
 
 
 def init_tracklet(det: DetectionObservation, state: CameraTrackerState) -> Tracklet:
-    """Spawn a tracklet from an unmatched detection.
-
-    Highly occluded detections start Tentative (one missed frame kills
-    them), trusted ones start Confirmed.
-    """
-    if det.occlusion is None or det.orientation is None:
-        raise ValueError("detection state must be populated before init")
-    phase = (
-        TrackingPhase.TENTATIVE
-        if det.occlusion is OcclusionStatus.INVALID
-        else TrackingPhase.CONFIRMED
-    )
-    t = Tracklet(
-        id=state.next_id,
-        camera_id=det.camera_id,
-        phase=phase,
-        fused=update_on_match(FusedTrackingFeature(), det, state.cfg),
-        observations=[det],
-        ever_confirmed=phase is TrackingPhase.CONFIRMED,
-    )
+    """Spawn a tracklet holding one unmatched detection. By ``phase_of``, a
+    highly occluded detection starts it Tentative (one missed frame kills
+    it) and a trusted one Confirmed."""
+    t = Tracklet(id=state.next_id, observations=[], fused=FusedTrackingFeature())
+    t.append(det, state.cfg)
     state.next_id += 1
     state.tracklets.append(t)
     return t
@@ -243,13 +201,11 @@ def physical_constraints_ok(
 
 
 def _merge_tracklets(state: CameraTrackerState, dst: Tracklet, src: Tracklet) -> None:
-    """Absorb ``src`` into ``dst`` and drop it from the live set. ``dst``
-    keeps its id and takes the phase and miss count of whichever of the two
-    ends later."""
-    later = src if src.end_frame > dst.end_frame else dst
+    """Absorb ``src`` into ``dst``, which keeps its id, and drop ``src``
+    from the live set. The merged phase is that of whichever ends later. A
+    Tentative tracklet never merges: with no valid detection, both merge
+    distances are forbidden for it."""
     dst.absorb(src, state.cfg)
-    dst.phase, dst.miss_count = later.phase, later.miss_count
-    dst.ever_confirmed = dst.ever_confirmed or src.ever_confirmed
     state.tracklets.remove(src)
 
 
@@ -259,14 +215,14 @@ def rectify(state: CameraTrackerState) -> CameraTrackerState:
     A Confirmed tracklet qualifies once its length reaches ``l_rectify``;
     pairs are gated by the physical constraints, scored by cluster-set
     distance and accepted greedily below ``theta_rectify``. The Invisible
-    tracklet keeps its id and the pair continues as Confirmed.
+    tracklet keeps its id. The Confirmed side ends later, so the pair
+    continues as Confirmed.
     """
     cfg = state.cfg
-    invisibles = [t for t in state.tracklets if t.phase is TrackingPhase.INVISIBLE]
+    phases = [(t, phase_of(t, state.current_frame, cfg)) for t in state.tracklets]
+    invisibles = [t for t, phase in phases if phase is TrackingPhase.INVISIBLE]
     confirmeds = [
-        t
-        for t in state.tracklets
-        if t.phase is TrackingPhase.CONFIRMED and len(t) >= cfg.l_rectify
+        t for t, phase in phases if phase is TrackingPhase.CONFIRMED and len(t) >= cfg.l_rectify
     ]
     if not invisibles or not confirmeds:
         return state
@@ -278,7 +234,6 @@ def rectify(state: CameraTrackerState) -> CameraTrackerState:
     for i, j in greedy_associate(m, cfg.theta_rectify):
         dst, src = invisibles[i], confirmeds[j]
         _merge_tracklets(state, dst, src)
-        dst.phase = TrackingPhase.CONFIRMED
         logger.debug(
             "camera %d: rectified tracklet %d into %d", state.camera_id, src.id, dst.id
         )
@@ -335,14 +290,14 @@ def cluster_tracklets(state: CameraTrackerState) -> tuple[CameraTrackerState, li
 
 def _emit_window(state: CameraTrackerState) -> list[TrackRow]:
     """Rows for all frames after the previous emission, from every tracklet
-    that ever reached Confirmed (never-confirmed Tentatives are treated as
-    false positives and dropped)."""
+    that holds a valid detection, so ever reached Confirmed (never-confirmed
+    Tentatives are treated as false positives and dropped)."""
     if state.current_frame is None:
         return []
     since = state.last_emit_frame
     rows = []
     for t in state.tracklets + state.finished:
-        if not t.ever_confirmed:
+        if t.fused.avg is None:
             continue
         for obs in t.observations:
             if (since is None or obs.frame > since) and obs.frame <= state.current_frame:
@@ -368,24 +323,16 @@ def _process_one_frame(
     result = hungarian(matrix)
 
     for i, j in result.matched_pairs:
-        t, det = state.tracklets[i], dets[j]
-        t.append_observation(det)
-        t.fused = update_on_match(t.fused, det, cfg)
-        phase_on_match(t, det.occlusion)
-
-    for i in result.unmatched_rows:
-        phase_on_miss(state.tracklets[i], cfg)
+        state.tracklets[i].append(dets[j], cfg)
     for j in result.unmatched_cols:
         init_tracklet(dets[j], state)
 
     rectify(state)
 
-    dead = [t for t in state.tracklets if t.phase is TrackingPhase.DISAPPEARED]
-    if dead:
-        state.tracklets = [
-            t for t in state.tracklets if t.phase is not TrackingPhase.DISAPPEARED
-        ]
-        state.finished.extend(dead)
+    # A tracklet leaves the live set in the frame it dies.
+    dead = [t for t in state.tracklets if phase_of(t, frame, cfg) is TrackingPhase.DISAPPEARED]
+    state.tracklets = [t for t in state.tracklets if t not in dead]
+    state.finished += dead
 
 
 def step_frame(
@@ -432,7 +379,7 @@ def run_sct(
 
     In offline mode the clustering interval is the sequence length, so a
     single clustering pass runs at the end. Returns the emitted rows and
-    the final state (whose tracklets seed cross-camera association).
+    the final tracker state.
     """
     if camera_id is None and dets:
         camera_id = dets[0].camera_id

@@ -24,7 +24,7 @@ from mtmctrack.core import (
 from mtmctrack.evaluation import id_measures
 from mtmctrack.features import FusedTrackingFeature, update_on_match
 from mtmctrack.pipeline import run_pipeline
-from mtmctrack.sct import TrackingPhase, Tracklet, phase_on_match, phase_on_miss
+from mtmctrack.sct import TrackingPhase, Tracklet, phase_of
 from mtmctrack.state_estimation import (
     MlpWeights,
     count_valid_keypoints,
@@ -201,25 +201,18 @@ def test_04_mlp_forward_oracle():
 
 
 def test_05_phase_machine_enumeration():
-    """Every (phase, miss_count, event) transition matches the lifecycle
-    automaton with mu_m=10, mu_d=300 and the one-miss rule, exhaustively."""
+    """Every (phase, miss_count, event) transition of the lifecycle
+    automaton with mu_m=10, mu_d=300 and the one-miss rule, driven through
+    a tracklet's history and read back with ``phase_of``, exhaustively."""
     cfg = TrackerConfig()
 
-    def fresh(phase):
-        from mtmctrack.features import FusedTrackingFeature
+    def detection(frame, valid):
         from mtmctrack.core import DetectionObservation
 
-        return Tracklet(
-            id=1,
-            camera_id=0,
-            phase=phase,
-            fused=FusedTrackingFeature(),
-            observations=[
-                DetectionObservation(0, 0, BBox(0, 0, 1, 1), 1.0,
-                                     PoseKeypoints(np.zeros((17, 3))), np.zeros(4),
-                                     OcclusionStatus.VALID, Orientation.FRONT)
-            ],
-        )
+        status = OcclusionStatus.VALID if valid else OcclusionStatus.INVALID
+        return DetectionObservation(0, frame, BBox(0, 0, 1, 1), 1.0,
+                                    PoseKeypoints(np.zeros((17, 3))), np.zeros(4),
+                                    status, Orientation.FRONT)
 
     wrong = 0
     checked = 0
@@ -231,10 +224,17 @@ def test_05_phase_machine_enumeration():
     for phase, miss_range in cases:
         for miss in miss_range:
             for event in ("valid", "invalid", "miss"):
-                t = fresh(phase)
-                t.miss_count = miss
+                # A tracklet in ``phase`` with ``miss`` on its counter at
+                # frame ``now``; the Invisible counter starts at mu_m misses.
+                t = Tracklet(id=1, observations=[], fused=FusedTrackingFeature())
+                t.append(detection(0, phase is not TrackingPhase.TENTATIVE), cfg)
+                now = miss + (cfg.mu_m if phase is TrackingPhase.INVISIBLE else 0)
+                if phase_of(t, now, cfg) is not phase:
+                    wrong += 1
+                if event != "miss":
+                    t.append(detection(now + 1, event == "valid"), cfg)
+                got = phase_of(t, now + 1, cfg)
                 if event == "miss":
-                    got = phase_on_miss(t, cfg)
                     if phase is TrackingPhase.TENTATIVE:
                         want = TrackingPhase.DISAPPEARED
                     elif phase is TrackingPhase.CONFIRMED:
@@ -249,17 +249,10 @@ def test_05_phase_machine_enumeration():
                             if miss + 1 >= cfg.mu_d
                             else TrackingPhase.INVISIBLE
                         )
+                elif phase is TrackingPhase.TENTATIVE and event == "invalid":
+                    want = TrackingPhase.TENTATIVE
                 else:
-                    status = (
-                        OcclusionStatus.VALID if event == "valid" else OcclusionStatus.INVALID
-                    )
-                    got = phase_on_match(t, status)
-                    if phase is TrackingPhase.TENTATIVE and event == "invalid":
-                        want = TrackingPhase.TENTATIVE
-                    else:
-                        want = TrackingPhase.CONFIRMED
-                    if t.miss_count != 0:
-                        wrong += 1
+                    want = TrackingPhase.CONFIRMED
                 if got is not want:
                     wrong += 1
                 checked += 1

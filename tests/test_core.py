@@ -231,6 +231,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrackerConfig(mu_m=-1)
 
+    @pytest.mark.parametrize("value", [1, 1.0, 5.0, 2**70])
+    def test_config_rejects_gamma_valid_of_one_or_more(self, value):
+        # A keypoint confidence lies in [0, 1]; none strictly exceeds such a
+        # threshold, so every detection would be invalid.
+        with pytest.raises(ValueError, match="gamma_valid must be < 1"):
+            TrackerConfig(gamma_valid=value)
+
+    def test_config_accepts_gamma_valid_just_below_one(self):
+        assert TrackerConfig(gamma_valid=np.nextafter(1.0, 0.0)).gamma_valid < 1
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(TrackerConfig) if f.type != "bool"]

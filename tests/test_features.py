@@ -25,7 +25,7 @@ from mtmctrack.features import (
     update_on_match,
 )
 from mtmctrack.mct import Trajectory
-from mtmctrack.sct import Tracklet, TrackingPhase, compute_distance_matrix
+from mtmctrack.sct import Tracklet, compute_distance_matrix
 
 
 class FakeDet:
@@ -65,9 +65,7 @@ def det_distance(F, embedding, orientation=Orientation.FRONT, cfg=CFG):
         0, 0, box, 1.0, PoseKeypoints(np.full((17, 3), 0.9)), vec(0),
         OcclusionStatus.VALID, orientation,
     )
-    t = Tracklet(
-        id=1, camera_id=0, phase=TrackingPhase.CONFIRMED, fused=F, observations=[record]
-    )
+    t = Tracklet(id=1, fused=F, observations=[record])
     det = DetectionObservation(
         camera_id=0,
         frame=1,
@@ -528,13 +526,24 @@ class TestHistory:
     @pytest.mark.parametrize("kind", [Tracklet, Trajectory])
     def test_frames_that_do_not_increase_are_refused(self, kind, frames):
         records = history_records(frames)
-        owner = (
-            {"id": 1, "camera_id": 0, "phase": TrackingPhase.CONFIRMED}
-            if kind is Tracklet
-            else {"global_id": 1, "sources": [(0, 1)]}
-        )
+        owner = {"id": 1} if kind is Tracklet else {"global_id": 1, "sources": [(0, 1)]}
         with pytest.raises(ValueError, match="frames must strictly increase"):
             kind(observations=records, fused=FusedTrackingFeature(), **owner)
+
+    @pytest.mark.parametrize("frames", [[0, 2, 1], [0, 1, 1]])
+    def test_append_folds_each_detection_and_refuses_frames_that_do_not_increase(
+        self, feature_leaves, frames
+    ):
+        records = history_records(frames)
+        h = History([], FusedTrackingFeature())
+        for r in records[:2]:
+            h.append(r, CFG)
+        assert [id(o) for o in h.observations] == [id(o) for o in records[:2]]
+        before = feature_leaves(h.fused)
+        assert before == feature_leaves(replay_feature(records[:2], CFG))
+        with pytest.raises(ValueError, match="frames must strictly increase"):
+            h.append(records[2], CFG)
+        assert (len(h), feature_leaves(h.fused)) == (2, before)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -412,6 +412,14 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="unknown key"):
             load_config(path)
 
+    @pytest.mark.parametrize("second", ["7", "5"])
+    def test_repeated_key_names_both_lines(self, tmp_path, second):
+        # A later value must not win silently, even an equal one.
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"mu_m = 5\n# retuned\nmu_d = 200\nmu_m = {second}\n")
+        with pytest.raises(ParseError, match="line 4: mu_m repeats line 1"):
+            load_config(path)
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("theta_mct = fast\n")
@@ -470,9 +478,10 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key", FLOAT_FIELDS)
     def test_float_field_accepts_fraction(self, tmp_path, key):
+        # 0.5, not 2.5: gamma_valid is a confidence threshold below 1.
         path = tmp_path / "cfg.txt"
-        path.write_text(f"{key} = 2.5\n")
-        assert getattr(load_config(path), key) == 2.5
+        path.write_text(f"{key} = 0.5\n")
+        assert getattr(load_config(path), key) == 0.5
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -498,6 +507,7 @@ class TestConfigFile:
                 | st.integers(1, 2**1023)
                 for key in FLOAT_FIELDS
             },
+            "gamma_valid": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         }
     )
 

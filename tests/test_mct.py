@@ -287,7 +287,7 @@ class TestStateAndFilePathsAgree:
             rows, state = run_sct(by_cam[cam], cfg, camera_id=cam, offline=True)
             all_rows.extend(rows)
             for t in state.tracklets + state.finished:
-                if t.ever_confirmed:
+                if t.fused.avg is not None:  # holds a valid detection
                     emitted[(cam, t.id)] = t
 
         fresh_dets = parse_detections(det_path, cfg.feature_dim)

@@ -45,6 +45,16 @@ def test_every_config_field_is_read():
     assert [name for name in fields if name not in read] == []
 
 
+def test_readme_config_table_lists_every_field_with_its_default():
+    section = (ROOT / "README.md").read_text().split("\n## Configuration\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M)
+    defaults = {f.name: f.default for f in dataclasses.fields(TrackerConfig)}
+    assert sorted(key for key, _ in rows) == sorted(defaults)
+    # A switch's default is written as 1 or 0.
+    assert [key for key, default in rows if float(default) != defaults[key]] == []
+
+
 def test_every_class_field_is_read():
     # A field that is only ever written records state that changes nothing.
     # The synthetic generator's diagnostics exist for the tests, so it is

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mtmctrack.features import (
     MeanSlot,
     replay_feature,
 )
+import mtmctrack.sct as sct_module
 from mtmctrack.sct import (
     CameraTrackerState,
     TrackingPhase,
@@ -29,8 +31,7 @@ from mtmctrack.sct import (
     cluster_tracklets,
     compute_distance_matrix,
     init_tracklet,
-    phase_on_match,
-    phase_on_miss,
+    phase_of,
     physical_constraints_ok,
     rectify,
     run_sct,
@@ -79,16 +80,26 @@ def det(
     )
 
 
-def tracklet_from_dets(tid, dets, cfg=CFG, phase=TrackingPhase.CONFIRMED):
+def tracklet_from_dets(tid, dets, cfg=CFG):
     obs = list(dets)
-    return Tracklet(
-        id=tid,
-        camera_id=dets[0].camera_id,
-        phase=phase,
-        fused=replay_feature(obs, cfg),
-        observations=obs,
-        ever_confirmed=True,
-    )
+    return Tracklet(id=tid, fused=replay_feature(obs, cfg), observations=obs)
+
+
+def automaton(phase, misses, event, cfg):
+    """The lifecycle as a counter automaton, the oracle of ``phase_of``:
+    the next (phase, misses) of a tracklet in ``phase`` after ``misses``
+    consecutive misses, on ``event`` "valid" or "invalid" (a match with a
+    detection of that status) or "miss". Tentative dies on its first miss;
+    Confirmed turns Invisible after ``mu_m`` misses, and the count restarts
+    there; Invisible dies after ``mu_d`` more."""
+    if event != "miss":
+        return ("tentative" if phase == "tentative" and event == "invalid" else "confirmed", 0)
+    misses += 1
+    if phase == "tentative":
+        return ("disappeared", misses)
+    if phase == "confirmed":
+        return ("invisible", 0) if misses >= cfg.mu_m else ("confirmed", misses)
+    return ("disappeared", misses) if misses >= cfg.mu_d else ("invisible", misses)
 
 
 def gate_passes(t, d, cfg=CFG):
@@ -348,113 +359,112 @@ class TestDistanceMatrix:
         assert m[0, 0] == pytest.approx(1.0)  # current only
 
 
+def held_since(phase, misses, cfg=CFG):
+    """A tracklet in ``phase`` after ``misses`` consecutive misses (counted
+    from entering Invisible for an Invisible one), and the current frame."""
+    if phase == "tentative":
+        return tracklet_from_dets(1, [det(0, valid=False)]), misses
+    t = tracklet_from_dets(1, [det(0)])
+    return t, misses + (cfg.mu_m if phase == "invisible" else 0)
+
+
+def counted_misses(t, frame, cfg=CFG):
+    """The automaton's miss count, read from the history: the misses since
+    the last match, less ``mu_m`` once Invisible."""
+    misses = frame - t.end_frame
+    return misses - cfg.mu_m if phase_of(t, frame, cfg) is TrackingPhase.INVISIBLE else misses
+
+
 class TestPhaseMachine:
+    """The lifecycle read from histories by ``phase_of``."""
+
     def test_invisible_match_returns_confirmed(self):
-        t = tracklet_from_dets(1, [det(0)], phase=TrackingPhase.INVISIBLE)
-        assert phase_on_match(t, OcclusionStatus.INVALID) is TrackingPhase.CONFIRMED
+        t, frame = held_since("invisible", 0)
+        assert phase_of(t, frame, CFG) is TrackingPhase.INVISIBLE
+        t.append(det(frame + 1, valid=False), CFG)
+        assert phase_of(t, frame + 1, CFG) is TrackingPhase.CONFIRMED
 
     def test_tentative_invalid_match_stays_tentative(self):
-        t = tracklet_from_dets(1, [det(0, valid=False)], phase=TrackingPhase.TENTATIVE)
-        assert phase_on_match(t, OcclusionStatus.INVALID) is TrackingPhase.TENTATIVE
+        t, _ = held_since("tentative", 0)
+        t.append(det(1, valid=False), CFG)
+        assert phase_of(t, 1, CFG) is TrackingPhase.TENTATIVE
 
     def test_tentative_valid_match_confirms(self):
-        t = tracklet_from_dets(1, [det(0, valid=False)], phase=TrackingPhase.TENTATIVE)
-        assert phase_on_match(t, OcclusionStatus.VALID) is TrackingPhase.CONFIRMED
+        t, _ = held_since("tentative", 0)
+        t.append(det(1), CFG)
+        assert phase_of(t, 1, CFG) is TrackingPhase.CONFIRMED
 
     def test_confirmed_match_resets_misses(self):
-        t = tracklet_from_dets(1, [det(0)])
-        t.miss_count = 5
-        assert phase_on_match(t, OcclusionStatus.VALID) is TrackingPhase.CONFIRMED
-        assert t.miss_count == 0
+        t, _ = held_since("confirmed", 5)
+        t.append(det(6, valid=False), CFG)
+        assert phase_of(t, 6, CFG) is TrackingPhase.CONFIRMED
+        # Without the match it would turn Invisible at frame 10.
+        assert phase_of(t, 6 + CFG.mu_m - 1, CFG) is TrackingPhase.CONFIRMED
 
     def test_tentative_dies_on_first_miss(self):
-        t = tracklet_from_dets(1, [det(0, valid=False)], phase=TrackingPhase.TENTATIVE)
-        assert phase_on_miss(t, CFG) is TrackingPhase.DISAPPEARED
+        t, _ = held_since("tentative", 0)
+        assert phase_of(t, 1, CFG) is TrackingPhase.DISAPPEARED
 
     def test_confirmed_to_invisible_at_mu_m(self):
-        t = tracklet_from_dets(1, [det(0)])
-        for i in range(9):
-            assert phase_on_miss(t, CFG) is TrackingPhase.CONFIRMED
-        assert phase_on_miss(t, CFG) is TrackingPhase.INVISIBLE
-        assert t.miss_count == 0  # counter restarts on phase entry
+        t, _ = held_since("confirmed", 0)
+        for frame in range(1, 10):
+            assert phase_of(t, frame, CFG) is TrackingPhase.CONFIRMED
+        assert phase_of(t, 10, CFG) is TrackingPhase.INVISIBLE
+        assert counted_misses(t, 10) == 0  # the count restarts on phase entry
 
     def test_invisible_to_disappeared_at_mu_d(self):
-        t = tracklet_from_dets(1, [det(0)], phase=TrackingPhase.INVISIBLE)
-        for _ in range(299):
-            assert phase_on_miss(t, CFG) is TrackingPhase.INVISIBLE
-        assert phase_on_miss(t, CFG) is TrackingPhase.DISAPPEARED
+        t, frame = held_since("invisible", 0)
+        for misses in range(300):
+            assert phase_of(t, frame + misses, CFG) is TrackingPhase.INVISIBLE
+        assert phase_of(t, frame + 300, CFG) is TrackingPhase.DISAPPEARED
 
     def test_disappeared_is_absorbing(self):
-        t = tracklet_from_dets(1, [det(0)], phase=TrackingPhase.DISAPPEARED)
-        with pytest.raises(ValueError):
-            phase_on_match(t, OcclusionStatus.VALID)
-        with pytest.raises(ValueError):
-            phase_on_miss(t, CFG)
+        # Disappeared at every frame after the one a tracklet dies in.
+        for born_valid, died in ((False, 1), (True, CFG.mu_m + CFG.mu_d)):
+            t = tracklet_from_dets(1, [det(0, valid=born_valid)])
+            assert phase_of(t, died - 1, CFG) is not TrackingPhase.DISAPPEARED
+            for frame in range(died, died + 2 * (CFG.mu_m + CFG.mu_d)):
+                assert phase_of(t, frame, CFG) is TrackingPhase.DISAPPEARED
 
     def test_exhaustive_transition_table(self):
-        """Model-checking sweep: every (phase, miss_count, event) against an
-        independently written transition table."""
-
-        def oracle(phase, miss_count, event):
-            # Returns (new_phase, new_miss_count).
-            if event == "match_valid":
-                return ("confirmed", 0)
-            if event == "match_invalid":
-                if phase == "tentative":
-                    return ("tentative", 0)
-                return ("confirmed", 0)
-            miss_count += 1
-            if phase == "tentative":
-                return ("disappeared", miss_count)
-            if phase == "confirmed":
-                if miss_count >= CFG.mu_m:
-                    return ("invisible", 0)
-                return ("confirmed", miss_count)
-            if miss_count >= CFG.mu_d:
-                return ("disappeared", miss_count)
-            return ("invisible", miss_count)
-
-        phases = {
-            "tentative": TrackingPhase.TENTATIVE,
-            "confirmed": TrackingPhase.CONFIRMED,
-            "invisible": TrackingPhase.INVISIBLE,
-        }
+        """Model-checking sweep: a history in every (phase, misses) state,
+        driven by every event, against the counter automaton."""
         counts = {
             "tentative": [0],
             "confirmed": list(range(0, CFG.mu_m)),
             "invisible": list(range(0, CFG.mu_d)),
         }
         checked = 0
-        for name, phase in phases.items():
-            for miss in counts[name]:
-                for event in ("match_valid", "match_invalid", "miss"):
-                    t = tracklet_from_dets(1, [det(0)], phase=phase)
-                    t.miss_count = miss
-                    if event == "match_valid":
-                        got = phase_on_match(t, OcclusionStatus.VALID)
-                    elif event == "match_invalid":
-                        got = phase_on_match(t, OcclusionStatus.INVALID)
-                    else:
-                        got = phase_on_miss(t, CFG)
-                    want_phase, want_miss = oracle(name, miss, event)
-                    assert got.value == want_phase, (name, miss, event)
-                    assert t.miss_count == want_miss, (name, miss, event)
+        for phase, misses_range in counts.items():
+            for misses in misses_range:
+                for event in ("valid", "invalid", "miss"):
+                    t, frame = held_since(phase, misses)
+                    assert phase_of(t, frame, CFG).value == phase
+                    assert counted_misses(t, frame) == misses
+                    frame += 1
+                    if event != "miss":
+                        t.append(det(frame, valid=event == "valid"), CFG)
+                    want_phase, want_misses = automaton(phase, misses, event, CFG)
+                    assert phase_of(t, frame, CFG).value == want_phase, (phase, misses, event)
+                    if want_phase != "disappeared":
+                        assert counted_misses(t, frame) == want_misses, (phase, misses, event)
                     checked += 1
         assert checked == (1 + CFG.mu_m + CFG.mu_d) * 3
 
 
 class TestInitTracklet:
-    def test_valid_detection_starts_confirmed(self):
+    def test_valid_detection_starts_confirmed(self, feature_leaves):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
-        t = init_tracklet(det(0), state)
-        assert t.phase is TrackingPhase.CONFIRMED
-        assert t.ever_confirmed
+        d = det(0)
+        t = init_tracklet(d, state)
+        assert phase_of(t, 0, CFG) is TrackingPhase.CONFIRMED
+        assert t.observations == [d]
+        assert feature_leaves(t.fused) == feature_leaves(replay_feature([d], CFG))
 
     def test_invalid_detection_starts_tentative(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
         t = init_tracklet(det(0, valid=False), state)
-        assert t.phase is TrackingPhase.TENTATIVE
-        assert not t.ever_confirmed
+        assert phase_of(t, 0, CFG) is TrackingPhase.TENTATIVE
         # An invalid detection folds into no part of the feature.
         assert t.fused == FusedTrackingFeature()
 
@@ -470,7 +480,7 @@ class TestStepFrame:
         state = CameraTrackerState(camera_id=0, cfg=CFG)
         step_frame(state, [det(0, x=100), det(0, x=500, emb=vec(0, 9))])
         assert len(state.tracklets) == 2
-        assert all(t.phase is TrackingPhase.CONFIRMED for t in state.tracklets)
+        assert all(phase_of(t, 0, CFG) is TrackingPhase.CONFIRMED for t in state.tracklets)
 
     def test_single_candidate_is_matched(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
@@ -480,7 +490,7 @@ class TestStepFrame:
         t = state.tracklets[0]
         assert len(t.observations) == 2
         assert t.end_frame == 1
-        assert t.miss_count == 0
+        assert phase_of(t, 1, CFG) is TrackingPhase.CONFIRMED
 
     def test_history_is_the_detections_passed_in(self):
         dets = [det(f, x=100 + f, emb=vec(3.0)) for f in range(4)]
@@ -494,16 +504,20 @@ class TestStepFrame:
     def test_tentative_dies_without_detections(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
         step_frame(state, [det(0, valid=False)])
-        assert state.tracklets[0].phase is TrackingPhase.TENTATIVE
+        assert phase_of(state.tracklets[0], 0, CFG) is TrackingPhase.TENTATIVE
         step_frame(state, [], frame=1)
         assert state.tracklets == []
-        assert state.finished[0].phase is TrackingPhase.DISAPPEARED
+        assert phase_of(state.finished[0], 1, CFG) is TrackingPhase.DISAPPEARED
 
     def test_frame_gap_accrues_misses(self):
-        state = CameraTrackerState(camera_id=0, cfg=CFG)
-        step_frame(state, [det(0)])
-        step_frame(state, [], frame=5)
-        assert state.tracklets[0].miss_count == 5
+        # The skipped frames count as misses: a tracklet dies at
+        # mu_m + mu_d = 5 misses across a detector gap, as frame by frame.
+        cfg = TrackerConfig(feature_dim=8, mu_m=2, mu_d=3)
+        for gap_to, alive in ((4, True), (5, False)):
+            state = CameraTrackerState(camera_id=0, cfg=cfg)
+            step_frame(state, [det(0)])
+            step_frame(state, [], frame=gap_to)
+            assert (len(state.tracklets), len(state.finished)) == ((1, 0) if alive else (0, 1))
 
     def test_out_of_order_frame_rejected(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
@@ -590,10 +604,11 @@ class TestRectify:
         assert [t.id for t in state.tracklets] == before
 
     def _fragmented_state(self, cfg, distance_offset=0.0):
+        # At frame 23 the old fragment has missed 19 >= mu_m frames, so it
+        # is Invisible; the new one is Confirmed.
         state = CameraTrackerState(camera_id=0, cfg=cfg)
         old = tracklet_from_dets(
-            1, [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)], cfg=cfg,
-            phase=TrackingPhase.INVISIBLE,
+            1, [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)], cfg=cfg
         )
         new = tracklet_from_dets(
             2,
@@ -615,9 +630,26 @@ class TestRectify:
         assert len(state.tracklets) == 1
         merged = state.tracklets[0]
         assert merged.id == 1  # invisible keeps its id
-        assert merged.phase is TrackingPhase.CONFIRMED
+        assert phase_of(merged, 23, cfg) is TrackingPhase.CONFIRMED
         assert [o.frame for o in merged.observations] == [0, 1, 2, 3, 4, 20, 21, 22, 23]
         assert 2 not in [t.id for t in state.tracklets + state.finished]
+
+    def test_fragment_is_invisible_from_mu_m_misses_on(self):
+        # At mu_m - 1 misses the old fragment is still Confirmed, and two
+        # Confirmed tracklets are not rectified.
+        cfg = rectify_cfg()
+        for misses, merged in ((cfg.mu_m - 1, False), (cfg.mu_m, True)):
+            state = CameraTrackerState(camera_id=0, cfg=cfg)
+            now = 4 + misses
+            state.tracklets = [
+                tracklet_from_dets(1, [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)]),
+                tracklet_from_dets(
+                    2, [det(f, x=100 + f, emb=vec(6.0)) for f in range(now - 2, now + 1)]
+                ),
+            ]
+            state.current_frame = now
+            rectify(state)
+            assert len(state.tracklets) == (1 if merged else 2)
 
     def test_distant_fragments_stay_apart(self):
         cfg = rectify_cfg()
@@ -657,10 +689,13 @@ class TestRectify:
                 cfg=cfg,
             )
 
+        # At frame 28 the earlier fragment has missed 20 frames, so it is
+        # Invisible, and the later one 3, so it is Confirmed.
+        frames = range(28, 28 + cfg.mu_m + cfg.mu_d + 2)
         for dst_is_earlier in (True, False):
             earlier, later = fragment(1, range(0, 9)), fragment(2, range(15, 26))
-            earlier.phase, earlier.miss_count = TrackingPhase.INVISIBLE, 6
-            later.miss_count = 3
+            assert phase_of(earlier, 28, cfg) is TrackingPhase.INVISIBLE
+            phases = [phase_of(later, f, cfg) for f in frames]
             union = earlier.observations + later.observations
             dst, src = (earlier, later) if dst_is_earlier else (later, earlier)
             state = CameraTrackerState(camera_id=0, cfg=cfg, tracklets=[earlier, later])
@@ -669,7 +704,7 @@ class TestRectify:
             assert [id(o) for o in dst.observations] == [id(o) for o in union]
             assert feature_leaves(dst.fused) == feature_leaves(replay_feature(union, cfg))
             # The merged tracklet lives on as the one that ends later.
-            assert (dst.phase, dst.miss_count) == (TrackingPhase.CONFIRMED, 3)
+            assert [phase_of(dst, f, cfg) for f in frames] == phases
 
     def test_merge_of_interleaved_tracklets_is_refused(self):
         # The gates forbid such a pair; the fold must refuse it rather than
@@ -693,10 +728,7 @@ class TestClusterTracklets:
 
     def test_fragments_of_one_identity_merge(self):
         state = CameraTrackerState(camera_id=0, cfg=CFG)
-        a = tracklet_from_dets(
-            1, [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)],
-            phase=TrackingPhase.INVISIBLE,
-        )
+        a = tracklet_from_dets(1, [det(f, x=100 + f, emb=vec(5.0)) for f in range(5)])
         b = tracklet_from_dets(
             2, [det(f, x=130 + f, emb=vec(5.5)) for f in range(30, 35)]
         )
@@ -715,7 +747,7 @@ class TestClusterTracklets:
         # The later fragment comes first, so the merge must put it last.
         state.tracklets = [
             tracklet_from_dets(2, second),
-            tracklet_from_dets(1, first, phase=TrackingPhase.INVISIBLE),
+            tracklet_from_dets(1, first),
         ]
         state.next_id = 3
         state.current_frame = 34
@@ -741,7 +773,6 @@ class TestClusterTracklets:
             tracklet_from_dets(
                 i + 1,
                 [det(f, x=100 + f, emb=vec(5.0 + 0.1 * i)) for f in range(i * 20, i * 20 + 5)],
-                phase=TrackingPhase.INVISIBLE if i < 2 else TrackingPhase.CONFIRMED,
             )
             for i in range(3)
         ]
@@ -823,9 +854,9 @@ class TestRunSct:
             assert len(set(frames)) == len(frames)
             assert t.end_frame == t.observations[-1].frame
         for t in state.tracklets:
-            assert t.phase is not TrackingPhase.DISAPPEARED
+            assert phase_of(t, state.current_frame, cfg) is not TrackingPhase.DISAPPEARED
         for t in state.finished:
-            assert t.phase is TrackingPhase.DISAPPEARED
+            assert phase_of(t, state.current_frame, cfg) is TrackingPhase.DISAPPEARED
         # Every emitted row corresponds to one stored observation.
         obs_keys = {
             (t.id, o.frame, o.bbox.x, o.bbox.y) for t in everything for o in t.observations
@@ -985,3 +1016,62 @@ class TestLiveFeatureIsReplay:
             if (frame + 1) % k_interval == 0:
                 state, _ = cluster_tracklets(state)
                 check()
+
+
+class TestPhaseIsTheAutomaton:
+    """``phase_of`` is the phase the tracker used to store: every tracklet
+    shadowed by the counter automaton, stepped by its match or miss of each
+    frame, and merged by taking the pair of the tracklet that ends later
+    (set Confirmed after rectifying)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=STREAMS, k_interval=st.integers(2, 7))
+    @example(stream=MERGING_STREAM, k_interval=2)
+    def test_derived_phase_equals_shadowed_automaton(self, stream, k_interval):
+        narrow, wide = alternating_gates(k_interval)
+        state = CameraTrackerState(camera_id=0, cfg=narrow)
+        shadow = {}  # tracklet id -> (phase, misses)
+        rectifying = []
+        rectify, merge = sct_module.rectify, sct_module._merge_tracklets
+
+        def shadow_rectify(state):
+            # This frame's matches and spawns are in; no merge has run yet.
+            for t in state.tracklets:
+                last = t.observations[-1]
+                if last.frame != state.current_frame:
+                    shadow[t.id] = automaton(*shadow[t.id], "miss", state.cfg)
+                else:
+                    event = "invalid" if last.occlusion is OcclusionStatus.INVALID else "valid"
+                    was = shadow.get(t.id, ("tentative", 0))  # a spawn
+                    shadow[t.id] = automaton(*was, event, state.cfg)
+            rectifying.append(True)
+            try:
+                return rectify(state)
+            finally:
+                rectifying.pop()
+
+        def shadow_merge(state, dst, src):
+            later = src if src.end_frame > dst.end_frame else dst
+            phase, misses = shadow[later.id]
+            shadow[dst.id] = ("confirmed" if rectifying else phase, misses)
+            del shadow[src.id]
+            merge(state, dst, src)
+
+        def check():
+            frame = state.current_frame
+            for t in state.tracklets:
+                assert phase_of(t, frame, state.cfg).value == shadow[t.id][0]
+            for t in state.finished:
+                assert phase_of(t, frame, state.cfg) is TrackingPhase.DISAPPEARED
+                assert shadow.pop(t.id, ("disappeared",))[0] == "disappeared"
+
+        with mock.patch.object(sct_module, "rectify", shadow_rectify), mock.patch.object(
+            sct_module, "_merge_tracklets", shadow_merge
+        ):
+            for frame, dets in enumerate(stream_frames(stream)):
+                state.cfg = wide if frame % 2 else narrow
+                step_frame(state, dets, frame)
+                check()
+                if (frame + 1) % k_interval == 0:
+                    state, _ = cluster_tracklets(state)
+                    check()
