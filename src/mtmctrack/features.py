@@ -31,6 +31,7 @@ from .core import (
     FORBIDDEN,
     OcclusionStatus,
     TrackerConfig,
+    center_distance,
     euclidean_distance,
     squared_distance,
 )
@@ -194,6 +195,24 @@ class History:
             )
         self.fused = replay_feature(later.observations, cfg, earlier.fused)
         self.observations = earlier.observations + later.observations
+
+
+def physical_constraints_ok(
+    a: History, b: History, cfg: TrackerConfig, check_velocity: bool = True
+) -> bool:
+    """The three association vetoes: no temporal overlap, no implausible
+    jump between the former's last box and the latter's first box, and no
+    gap beyond ``max_gap`` frames."""
+    if a.start_frame <= b.end_frame and b.start_frame <= a.end_frame:
+        return False
+    former, latter = (a, b) if a.end_frame < b.start_frame else (b, a)
+    gap = latter.start_frame - former.end_frame
+    if gap > cfg.max_gap:
+        return False
+    if check_velocity:
+        if center_distance(former.last_bbox, latter.first_bbox) > cfg.v_max * gap:
+            return False
+    return True
 
 
 def rectify_distance(

@@ -9,7 +9,7 @@ later one's detections are folded onto the earlier one's fused feature,
 which equals replaying their union. The merged trajectory's row and column
 of the distance matrix are then recomputed, including the refreshed
 camera-overlap and temporal gates. In-camera rows are never altered;
-association only relabels them.
+association only relabels them, numbering the survivors from 1.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FORBIDDEN, TrackRow, TrackerConfig, forbidden_matrix
-from .features import History, cluster_distance
-from .sct import physical_constraints_ok
+from .features import History, cluster_distance, physical_constraints_ok
 
 logger = logging.getLogger(__name__)
 
@@ -32,31 +31,11 @@ class Trajectory(History):
     detections over every camera, and ``sources``, the (camera, single-camera
     track id) pairs it was joined from."""
 
-    global_id: int
     sources: list[tuple[int, int]]
 
     @property
     def cameras(self) -> set[int]:
         return {camera for camera, _ in self.sources}
-
-    def rows(self) -> list[TrackRow]:
-        return [
-            TrackRow(o.camera_id, o.frame, self.global_id, o.bbox) for o in self.observations
-        ]
-
-
-def assign_global_ids(trajs: list[Trajectory]) -> None:
-    """Number trajectories from 1 in order of first frame, camera, source id."""
-    order = sorted(
-        range(len(trajs)),
-        key=lambda i: (
-            trajs[i].start_frame,
-            min(trajs[i].cameras),
-            min(source for _, source in trajs[i].sources),
-        ),
-    )
-    for new_id, idx in enumerate(order, start=1):
-        trajs[idx].global_id = new_id
 
 
 def _pair_distance(a: Trajectory, b: Trajectory, cfg: TrackerConfig) -> float:
@@ -88,7 +67,8 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
     ``trajectories_from_rows`` builds it. The cheapest pair is joined by
     ``History.absorb``, which keeps that so, and the merged distances to
     every survivor recomputed before the next pick.
-    Output global ids are reassigned in order of first appearance.
+    The survivors are returned in order of first frame, camera and source
+    id, the order ``run_mct`` numbers them in.
     """
     trajs = list(trajs)
     n = len(trajs)
@@ -104,6 +84,7 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
         if i > j:
             i, j = j, i
         dst, src = trajs[i], trajs[j]
+        logger.debug("linked trajectory %s into %s", src.sources, dst.sources)
         dst.absorb(src, cfg)
         dst.sources = dst.sources + src.sources
         alive[j] = False
@@ -115,15 +96,18 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
                 m[i, k] = d
                 m[k, i] = d
         m[i, i] = FORBIDDEN
-        logger.debug("linked trajectory %d into %d", src.global_id, dst.global_id)
-    merged = [t for k, t in enumerate(trajs) if alive[k]]
-    assign_global_ids(merged)
-    return merged
+    return sorted(
+        (t for k, t in enumerate(trajs) if alive[k]),
+        key=lambda t: (t.start_frame, min(t.cameras), min(source for _, source in t.sources)),
+    )
 
 
 def run_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[TrackRow]:
-    """Associate and flatten to identity-labeled rows."""
-    merged = associate_mct(trajs, cfg)
-    rows = [row for t in merged for row in t.rows()]
+    """Associate and flatten to rows, numbering the survivors from 1."""
+    rows = [
+        TrackRow(o.camera_id, o.frame, identity, o.bbox)
+        for identity, t in enumerate(associate_mct(trajs, cfg), start=1)
+        for o in t.observations
+    ]
     rows.sort(key=lambda r: r.sort_key())
     return rows

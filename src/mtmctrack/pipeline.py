@@ -21,7 +21,7 @@ from .fileio import (
     write_report,
     write_track_rows,
 )
-from .mct import Trajectory, assign_global_ids, run_mct
+from .mct import Trajectory, run_mct
 from .features import replay_feature
 from .sct import run_sct
 from .state_estimation import OrientationEstimator, populate_state
@@ -122,11 +122,9 @@ def trajectories_from_rows(
             Trajectory(
                 observations=obs,
                 fused=replay_feature(obs, cfg),
-                global_id=0,
                 sources=[(cam, ident)],
             )
         )
-    assign_global_ids(trajs)
     return trajs
 
 

@@ -13,6 +13,7 @@ are emitted.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ from .core import (
     OcclusionStatus,
     TrackRow,
     TrackerConfig,
-    center_distance,
     forbidden_matrix,
     squared_distance,
 )
@@ -36,6 +36,7 @@ from .features import (
     FusedTrackingFeature,
     History,
     cluster_distance,
+    physical_constraints_ok,
     rectify_distance,
 )
 from .state_estimation import OrientationEstimator, populate_state
@@ -182,24 +183,6 @@ def init_tracklet(det: DetectionObservation, state: CameraTrackerState) -> Track
     return t
 
 
-def physical_constraints_ok(
-    a: History, b: History, cfg: TrackerConfig, check_velocity: bool = True
-) -> bool:
-    """The three association vetoes: no temporal overlap, no implausible
-    jump between the former's last box and the latter's first box, and no
-    gap beyond ``max_gap`` frames."""
-    if a.start_frame <= b.end_frame and b.start_frame <= a.end_frame:
-        return False
-    former, latter = (a, b) if a.end_frame < b.start_frame else (b, a)
-    gap = latter.start_frame - former.end_frame
-    if gap > cfg.max_gap:
-        return False
-    if check_velocity:
-        if center_distance(former.last_bbox, latter.first_bbox) > cfg.v_max * gap:
-            return False
-    return True
-
-
 def _merge_tracklets(state: CameraTrackerState, dst: Tracklet, src: Tracklet) -> None:
     """Absorb ``src`` into ``dst``, which keeps its id, and drop ``src``
     from the live set. The merged phase is that of whichever ends later. A
@@ -209,14 +192,44 @@ def _merge_tracklets(state: CameraTrackerState, dst: Tracklet, src: Tracklet) ->
     state.tracklets.remove(src)
 
 
-def rectify(state: CameraTrackerState) -> CameraTrackerState:
-    """Re-attach Invisible tracklets to newly grown Confirmed ones.
+def _associate(
+    state: CameraTrackerState, rows: list[Tracklet], cols: list[Tracklet], pairs, distance, theta
+) -> None:
+    """The one association step of rectifying and clustering: score each
+    ``(i, j)`` of ``pairs`` that passes the physical constraints by
+    ``distance`` of the fused features, and merge the pairs
+    ``greedy_associate`` accepts up to ``theta``. A pair joins what its two
+    sides were merged into so far, if the constraints still pass; the one
+    with the smaller ``(start_frame, id)`` keeps its id, so rows already
+    emitted for the earlier fragment stay consistent."""
+    cfg = state.cfg
+    m = forbidden_matrix(len(rows), len(cols))
+    for i, j in pairs:
+        if physical_constraints_ok(rows[i], cols[j], cfg):
+            m[i, j] = distance(rows[i].fused, cols[j].fused, cfg)
+    owner = {t: t for t in rows + cols}  # what each tracklet was merged into
+    for i, j in greedy_associate(m, theta):
+        a, b = owner[rows[i]], owner[cols[j]]
+        if a is b or not physical_constraints_ok(a, b, cfg):
+            continue
+        dst, src = (a, b) if (a.start_frame, a.id) < (b.start_frame, b.id) else (b, a)
+        _merge_tracklets(state, dst, src)
+        for t, merged in owner.items():
+            if merged is src:
+                owner[t] = dst
+        logger.debug("camera %d: merged tracklet %d into %d", state.camera_id, src.id, dst.id)
 
-    A Confirmed tracklet qualifies once its length reaches ``l_rectify``;
-    pairs are gated by the physical constraints, scored by cluster-set
-    distance and accepted greedily below ``theta_rectify``. The Invisible
-    tracklet keeps its id. The Confirmed side ends later, so the pair
-    continues as Confirmed.
+
+def rectify(state: CameraTrackerState) -> CameraTrackerState:
+    """Re-attach Invisible tracklets to newly grown Confirmed ones (length
+    at least ``l_rectify``) by cluster-set distance, up to ``theta_rectify``.
+
+    A Confirmed tracklet ends later than an Invisible one (fewer than
+    ``mu_m`` misses against at least as many), so when the two do not
+    overlap it also starts later: the Invisible one keeps its id and the
+    pair continues as Confirmed. The lists are disjoint and
+    ``greedy_associate`` retires a row and a column per accepted pair, so
+    no tracklet is in two merges.
     """
     cfg = state.cfg
     phases = [(t, phase_of(t, state.current_frame, cfg)) for t in state.tracklets]
@@ -226,84 +239,41 @@ def rectify(state: CameraTrackerState) -> CameraTrackerState:
     ]
     if not invisibles or not confirmeds:
         return state
-    m = forbidden_matrix(len(invisibles), len(confirmeds))
-    for i, ti in enumerate(invisibles):
-        for j, tj in enumerate(confirmeds):
-            if physical_constraints_ok(ti, tj, cfg):
-                m[i, j] = rectify_distance(ti.fused, tj.fused, cfg)
-    for i, j in greedy_associate(m, cfg.theta_rectify):
-        dst, src = invisibles[i], confirmeds[j]
-        _merge_tracklets(state, dst, src)
-        logger.debug(
-            "camera %d: rectified tracklet %d into %d", state.camera_id, src.id, dst.id
-        )
+    pairs = itertools.product(range(len(invisibles)), range(len(confirmeds)))
+    _associate(state, invisibles, confirmeds, pairs, rectify_distance, cfg.theta_rectify)
     return state
 
 
 def cluster_tracklets(state: CameraTrackerState) -> tuple[CameraTrackerState, list[TrackRow]]:
     """Associate the live tracklet set and emit the window's rows.
 
-    All non-Disappeared tracklets are compared with the min of averaged and
-    orientation distances, gated by the physical constraints, and merged
-    greedily below ``theta_cluster``. Accepted pairs chain transitively;
-    the constraints are rechecked against the merged tracklets before each
-    union. Afterwards the rows for frames since the previous emission are
-    returned.
+    Each pair of live tracklets is scored once by ``cluster_distance``, in
+    the upper triangle (a symmetric matrix would retire other rows and
+    columns in ``greedy_associate``), and merged up to ``theta_cluster``;
+    then the rows for frames since the previous emission are returned.
     """
-    cfg = state.cfg
     live = list(state.tracklets)
-    n = len(live)
-    m = forbidden_matrix(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if physical_constraints_ok(live[i], live[j], cfg):
-                m[i, j] = cluster_distance(live[i].fused, live[j].fused, cfg)
-    rep = list(range(n))
-
-    def find(idx: int) -> int:
-        while rep[idx] != idx:
-            rep[idx] = rep[rep[idx]]
-            idx = rep[idx]
-        return idx
-
-    for i, j in greedy_associate(m, cfg.theta_cluster):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        ti, tj = live[ri], live[rj]
-        if not physical_constraints_ok(ti, tj, cfg):
-            continue
-        # The earlier fragment keeps its id so rows already emitted for it
-        # stay consistent.
-        if (ti.start_frame, ti.id) <= (tj.start_frame, tj.id):
-            dst_idx, src_idx = ri, rj
-        else:
-            dst_idx, src_idx = rj, ri
-        dst, src = live[dst_idx], live[src_idx]
-        _merge_tracklets(state, dst, src)
-        rep[src_idx] = dst_idx
-        logger.debug(
-            "camera %d: clustered tracklet %d into %d", state.camera_id, src.id, dst.id
-        )
+    pairs = itertools.combinations(range(len(live)), 2)
+    _associate(state, live, live, pairs, cluster_distance, state.cfg.theta_cluster)
     return state, _emit_window(state)
 
 
 def _emit_window(state: CameraTrackerState) -> list[TrackRow]:
     """Rows for all frames after the previous emission, from every tracklet
     that holds a valid detection, so ever reached Confirmed (never-confirmed
-    Tentatives are treated as false positives and dropped)."""
-    if state.current_frame is None:
-        return []
+    Tentatives are treated as false positives and dropped). The finished
+    tracklets are then dropped: none holds a later detection or merges."""
     since = state.last_emit_frame
     rows = []
     for t in state.tracklets + state.finished:
         if t.fused.avg is None:
             continue
         for obs in t.observations:
-            if (since is None or obs.frame > since) and obs.frame <= state.current_frame:
+            if since is None or obs.frame > since:
                 rows.append(TrackRow(state.camera_id, obs.frame, t.id, obs.bbox))
     rows.sort(key=lambda r: (r.frame, r.identity))
     state.last_emit_frame = state.current_frame
+    state.finished = []
     return rows
 
 
@@ -401,14 +371,11 @@ def run_sct(
     span = last - first + 1
     k = span if offline else cfg.k_interval
 
+    # Windows are sorted and consecutive, so their concatenation is sorted.
     rows: list[TrackRow] = []
     for frame in range(first, last + 1):
         step_frame(state, by_frame.get(frame, []), frame)
-        if (frame - first + 1) % k == 0:
+        if (frame - first + 1) % k == 0 or frame == last:
             state, emitted = cluster_tracklets(state)
             rows.extend(emitted)
-    if state.last_emit_frame is None or state.last_emit_frame < last:
-        state, emitted = cluster_tracklets(state)
-        rows.extend(emitted)
-    rows.sort(key=lambda r: r.sort_key())
     return rows, state

@@ -526,7 +526,7 @@ class TestHistory:
     @pytest.mark.parametrize("kind", [Tracklet, Trajectory])
     def test_frames_that_do_not_increase_are_refused(self, kind, frames):
         records = history_records(frames)
-        owner = {"id": 1} if kind is Tracklet else {"global_id": 1, "sources": [(0, 1)]}
+        owner = {"id": 1} if kind is Tracklet else {"sources": [(0, 1)]}
         with pytest.raises(ValueError, match="frames must strictly increase"):
             kind(observations=records, fused=FusedTrackingFeature(), **owner)
 

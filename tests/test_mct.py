@@ -40,13 +40,12 @@ def obs(frame, x=100.0, emb=None, camera=0):
     )
 
 
-def traj(gid, camera, frames, emb, x=100.0):
+def traj(source, camera, frames, emb, x=100.0):
     records = [obs(f, x=x, emb=emb, camera=camera) for f in frames]
     return Trajectory(
         observations=records,
         fused=replay_feature(records, CFG),
-        global_id=gid,
-        sources=[(camera, gid)],
+        sources=[(camera, source)],
     )
 
 
@@ -204,22 +203,37 @@ class TestAssociate:
         )
     )
     def test_links_keep_segments_in_time_order_and_relabel_the_rows(self, spans):
-        trajs = [
-            traj(gid, cam, range(start, start + length), vec(5.0 * a), x=10.0 * gid)
-            for gid, (cam, start, length, a) in enumerate(spans, start=1)
-        ]
+        def build():
+            return [
+                traj(source, cam, range(start, start + length), vec(5.0 * a), x=10.0 * source)
+                for source, (cam, start, length, a) in enumerate(spans, start=1)
+            ]
 
-        def row_keys(rows):
-            return sorted((r.camera_id, r.frame, id(r.bbox)) for r in rows)
-
-        rows_before = row_keys(r for t in trajs for r in t.rows())
+        trajs = build()
+        boxes_before = sorted(
+            (o.camera_id, o.frame, id(o.bbox)) for t in trajs for o in t.observations
+        )
         out = associate_mct(trajs, CFG)
         for t in out:
             frames = [o.frame for o in t.observations]
             assert all(f1 < f2 for f1, f2 in zip(frames, frames[1:]))
-            assert {r.identity for r in t.rows()} == {t.global_id}
-        assert sorted(t.global_id for t in out) == list(range(1, len(out) + 1))
-        assert row_keys(r for t in out for r in t.rows()) == rows_before
+        # Survivors come in order of first frame, camera and source id.
+        keys = [(t.start_frame, min(t.cameras), min(s for _, s in t.sources)) for t in out]
+        assert keys == sorted(keys)
+        # ``run_mct`` numbers them from 1 in that order, and every input
+        # detection becomes one row labeled with its survivor's number. A
+        # detection is keyed by its box's x, which is unique per source.
+        number = {
+            (o.camera_id, o.frame, o.bbox.x): k
+            for k, t in enumerate(out, start=1)
+            for o in t.observations
+        }
+        rows = run_mct(build(), CFG)
+        assert len(rows) == len(number)
+        assert {(r.camera_id, r.frame, r.bbox.x): r.identity for r in rows} == number
+        assert sorted(
+            (o.camera_id, o.frame, id(o.bbox)) for t in out for o in t.observations
+        ) == boxes_before
 
     def test_global_ids_relabeled_in_time_order(self):
         a = traj(7, 0, range(50, 55), vec(5.0))
@@ -238,7 +252,6 @@ def joined(first, second):
     return Trajectory(
         observations=first + second,
         fused=replay_feature([], CFG),
-        global_id=1,
         sources=[(first[0].camera_id, 1), (second[0].camera_id, 2)],
     )
 
@@ -262,14 +275,26 @@ class TestTrajectoryValidation:
 
 
 class TestStateAndFilePathsAgree:
-    def test_in_process_and_file_driven_mct_match(self, tmp_path):
+    def test_in_process_and_file_driven_mct_match(self, tmp_path, monkeypatch):
         """Every tracklet a live tracker state emitted comes back from the
         written rows as one single-source trajectory with the same camera,
-        source id, frames, boxes and embeddings."""
+        source id, frames, boxes and embeddings. Emitting drops the
+        finished tracklets, so they are gathered before each clustering
+        pass."""
+        import mtmctrack.sct as sct_module
         from mtmctrack.fileio import parse_detections, write_detections
         from mtmctrack.pipeline import trajectories_from_rows
         from mtmctrack.sct import run_sct
         from mtmctrack.synth import generate_scenario, scenario_presets
+
+        finished = []
+        cluster = sct_module.cluster_tracklets
+
+        def gathering(state):
+            finished.extend(state.finished)
+            return cluster(state)
+
+        monkeypatch.setattr(sct_module, "cluster_tracklets", gathering)
 
         cfg = TrackerConfig()
         spec = scenario_presets()["two_camera_handoff"]
@@ -284,9 +309,10 @@ class TestStateAndFilePathsAgree:
         emitted = {}
         all_rows = []
         for cam in sorted(by_cam):
+            finished.clear()
             rows, state = run_sct(by_cam[cam], cfg, camera_id=cam, offline=True)
             all_rows.extend(rows)
-            for t in state.tracklets + state.finished:
+            for t in state.tracklets + finished:
                 if t.fused.avg is not None:  # holds a valid detection
                     emitted[(cam, t.id)] = t
 
@@ -330,10 +356,8 @@ class TestMergedFeature:
         b_obs = records(range(12, 20), 5.1)
         c_obs = records(range(25, 33), 60.0)
         trajs = [
-            Trajectory(
-                observations=o, fused=replay_feature(o, CFG), global_id=gid, sources=[(cam, gid)]
-            )
-            for gid, cam, o in ((1, 0, a_obs), (2, 1, b_obs), (3, 2, c_obs))
+            Trajectory(observations=o, fused=replay_feature(o, CFG), sources=[(cam, source)])
+            for source, cam, o in ((1, 0, a_obs), (2, 1, b_obs), (3, 2, c_obs))
         ]
         out = associate_mct(trajs, CFG)
         assert len(out) == 2

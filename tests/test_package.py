@@ -32,6 +32,20 @@ def test_no_private_imports_between_modules():
     assert offenders == []
 
 
+def test_mct_does_not_import_sct():
+    # Cross-camera linking joins histories with the gate beside ``History``;
+    # it needs nothing of the single-camera tracker.
+    tree = ast.parse((PACKAGE / "mct.py").read_text())
+    imported = {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert "features" in imported
+    assert "sct" not in imported
+
+
 def test_every_config_field_is_read():
     # A knob that no module besides the one defining it reads changes nothing.
     read = set()

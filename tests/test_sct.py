@@ -20,6 +20,7 @@ from mtmctrack.core import (
 from mtmctrack.features import (
     FusedTrackingFeature,
     MeanSlot,
+    physical_constraints_ok,
     replay_feature,
 )
 import mtmctrack.sct as sct_module
@@ -32,7 +33,6 @@ from mtmctrack.sct import (
     compute_distance_matrix,
     init_tracklet,
     phase_of,
-    physical_constraints_ok,
     rectify,
     run_sct,
     step_frame,
@@ -835,17 +835,31 @@ class TestRunSct:
         assert len({r.identity for r in rows}) == 1
         assert len(rows) == 25
 
-    def test_structural_invariants_on_stressful_scenario(self):
-        """Replay the crowded preset and audit the final tracker state:
-        unique ids, strictly increasing observation frames, sane phases and
-        rows drawn from real observations."""
+    def test_structural_invariants_on_stressful_scenario(self, monkeypatch):
+        """Replay the crowded preset and audit the tracker state: unique ids,
+        strictly increasing observation frames, sane phases and rows drawn
+        from real observations. Emitting drops the finished tracklets, so
+        they are gathered before each clustering pass; a short ``mu_d``
+        makes tracklets that hold a valid detection die mid-stream."""
         from mtmctrack.synth import generate_scenario, scenario_presets
 
+        finished = []
+        cluster = sct_module.cluster_tracklets
+
+        def gathering(state):
+            for t in state.finished:
+                assert phase_of(t, state.current_frame, cfg) is TrackingPhase.DISAPPEARED
+            finished.extend(state.finished)
+            return cluster(state)
+
+        monkeypatch.setattr(sct_module, "cluster_tracklets", gathering)
         data = generate_scenario(scenario_presets()["occlusion_heavy"])
-        cfg = TrackerConfig()
+        cfg = TrackerConfig(mu_d=20)
         rows, state = run_sct(data.detections, cfg, offline=True)
 
-        everything = state.tracklets + state.finished
+        assert state.finished == []
+        assert any(t.fused.avg is not None for t in finished)
+        everything = state.tracklets + finished
         ids = [t.id for t in everything]
         assert len(ids) == len(set(ids))
         for t in everything:
@@ -855,8 +869,6 @@ class TestRunSct:
             assert t.end_frame == t.observations[-1].frame
         for t in state.tracklets:
             assert phase_of(t, state.current_frame, cfg) is not TrackingPhase.DISAPPEARED
-        for t in state.finished:
-            assert phase_of(t, state.current_frame, cfg) is TrackingPhase.DISAPPEARED
         # Every emitted row corresponds to one stored observation.
         obs_keys = {
             (t.id, o.frame, o.bbox.x, o.bbox.y) for t in everything for o in t.observations
@@ -973,9 +985,18 @@ class TestRowContract:
         return state, rows
 
     def test_pinned_stream_merges(self):
-        state, _ = self.track(MERGING_STREAM, 2)
-        spawned = state.next_id - 1
-        assert spawned - len(state.tracklets) - len(state.finished) == 2
+        # Emitting drops the finished tracklets, so the merges are counted
+        # where they happen rather than read from the final state.
+        merges = []
+        merge = sct_module._merge_tracklets
+
+        def counting(state, dst, src):
+            merges.append((dst.id, src.id))
+            merge(state, dst, src)
+
+        with mock.patch.object(sct_module, "_merge_tracklets", counting):
+            self.track(MERGING_STREAM, 2)
+        assert len(merges) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(stream=STREAMS, k_interval=st.integers(2, 7))
@@ -992,6 +1013,49 @@ class TestRowContract:
         for r in rows:
             assert r.camera_id == 0
             assert (r.frame, r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) in boxes
+
+
+def rectify_merges(stream, k_interval):
+    """Track ``stream`` as ``TestRowContract.track`` does, and return the
+    frame of each merge made by rectifying. At each one the kept tracklet
+    was Invisible, the absorbed one Confirmed, and the kept one started
+    earlier: so the association step's rule that the earlier fragment keeps
+    its id is rectifying's rule that the Invisible one does."""
+    rectify, merge = sct_module.rectify, sct_module._merge_tracklets
+    rectifying, merges = [], []
+
+    def checked_rectify(state):
+        rectifying.append(True)
+        try:
+            return rectify(state)
+        finally:
+            rectifying.pop()
+
+    def checked_merge(state, dst, src):
+        if rectifying:
+            frame = state.current_frame
+            assert phase_of(dst, frame, state.cfg) is TrackingPhase.INVISIBLE
+            assert phase_of(src, frame, state.cfg) is TrackingPhase.CONFIRMED
+            assert dst.start_frame < src.start_frame
+            merges.append(frame)
+        merge(state, dst, src)
+
+    with mock.patch.object(sct_module, "rectify", checked_rectify), mock.patch.object(
+        sct_module, "_merge_tracklets", checked_merge
+    ):
+        TestRowContract.track(stream, k_interval)
+    return merges
+
+
+class TestRectifyKeepsTheInvisibleId:
+    def test_pinned_stream_rectifies_once(self):
+        assert len(rectify_merges(MERGING_STREAM, 2)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=STREAMS, k_interval=st.integers(2, 7))
+    @example(stream=MERGING_STREAM, k_interval=2)
+    def test_invisible_side_is_the_earlier_one(self, stream, k_interval):
+        rectify_merges(stream, k_interval)
 
 
 class TestLiveFeatureIsReplay:
