@@ -147,8 +147,12 @@ class DetectionObservation:
 
     def __post_init__(self):
         c = self.det_confidence
-        # bool is a real number to Python, not a confidence.
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
+        # bool is a real number to Python, not a confidence. A plain float,
+        # what parsing gives, skips the slow ABC check.
+        if (
+            type(c) is not float
+            and (isinstance(c, bool) or not isinstance(c, numbers.Real))
+        ) or not math.isfinite(c):
             raise ValueError(f"det_confidence must be a finite number, got {c!r}")
 
 

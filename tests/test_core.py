@@ -315,8 +315,12 @@ class TestTypes:
             with pytest.raises(ValueError):
                 PoseKeypoints(xyc)
 
+    # NumPy scalars are not plain floats, so they take the ABC check.
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), True, "0.9", None]
+        "value",
+        [float("nan"), float("inf"), float("-inf"), True, "0.9", None,
+         pytest.param(np.float64("nan"), id="float64-nan"),
+         pytest.param(np.float32("inf"), id="float32-inf")],
     )
     def test_detection_rejects_bad_confidence(self, value):
         with pytest.raises(ValueError, match="det_confidence"):
@@ -329,7 +333,11 @@ class TestTypes:
                 embedding=np.zeros(4),
             )
 
-    @pytest.mark.parametrize("value", [0.9, 1, np.float32(0.5), -3.0, 1e300])
+    @pytest.mark.parametrize(
+        "value",
+        [0.9, 1, np.float32(0.5), -3.0, 1e300, -0.0, 5e-324,
+         pytest.param(np.float64(0.5), id="float64-0.5")],
+    )
     def test_detection_takes_any_finite_confidence(self, value):
         det = DetectionObservation(
             camera_id=0,

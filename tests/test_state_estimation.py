@@ -1,10 +1,14 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtmctrack.core import (
     BBox,
+    DetectionObservation,
     LEFT_EAR,
     LEFT_HIP,
     LEFT_SHOULDER,
@@ -18,8 +22,11 @@ from mtmctrack.core import (
 )
 from mtmctrack.fileio import ParseError
 from mtmctrack.state_estimation import (
+    MLP_CHUNK,
     MLP_LAYER_SIZES,
+    ORIENTATION_INPUT_DIM,
     MlpWeights,
+    OrientationEstimator,
     build_orientation_input,
     classify_orientation_geometric,
     classify_orientation_mlp,
@@ -27,6 +34,7 @@ from mtmctrack.state_estimation import (
     estimate_occlusion,
     load_mlp_weights,
     mlp_logits,
+    populate_state,
     save_mlp_weights,
 )
 
@@ -97,37 +105,52 @@ class TestOcclusion:
                 assert after is OcclusionStatus.VALID
 
 
+def input_rows(poses, boxes):
+    """The classifier input of a batch of (17, 3) poses and their BBoxes."""
+    arr = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float)
+    return build_orientation_input(np.stack(poses), arr)
+
+
 class TestOrientationInput:
     def test_corner_normalization(self):
-        bbox = BBox(10, 20, 100, 200)
+        # Row 0: shoulders on the box corners; row 1: the same pose in a box
+        # twice the size, so the corners land on 0.5.
         xyc = np.zeros((17, 3))
         xyc[LEFT_SHOULDER] = (10, 20, 0.5)     # top-left corner
         xyc[RIGHT_SHOULDER] = (110, 220, 0.6)  # bottom-right corner
-        vec = build_orientation_input(PoseKeypoints(xyc), bbox)
-        assert vec[0] == 0.0 and vec[1] == 0.0 and vec[2] == 0.5
-        assert vec[3] == 1.0 and vec[4] == 1.0 and vec[5] == 0.6
+        rows = input_rows(
+            [xyc, xyc], [BBox(10, 20, 100, 200), BBox(10, 20, 200, 400)]
+        )
+        assert rows.shape == (2, 14)
+        assert list(rows[0, :6]) == [0.0, 0.0, 0.5, 1.0, 1.0, 0.6]
+        assert list(rows[1, :6]) == [0.0, 0.0, 0.5, 0.5, 0.5, 0.6]
 
     def test_center_normalization(self):
-        bbox = BBox(10, 20, 100, 200)
+        boxes = [BBox(10, 20, 100, 200), BBox(-40, -80, 200, 400), BBox(59, 119, 2, 2)]
         xyc = np.zeros((17, 3))
         xyc[LEFT_SHOULDER] = (60, 120, 1.0)
-        vec = build_orientation_input(PoseKeypoints(xyc), bbox)
-        assert vec[0] == pytest.approx(0.5)
-        assert vec[1] == pytest.approx(0.5)
+        rows = input_rows([xyc] * 3, boxes)
+        for row in rows:
+            assert row[0] == pytest.approx(0.5)
+            assert row[1] == pytest.approx(0.5)
 
     def test_layout_and_ear_confidences(self):
-        bbox = BBox(0, 0, 10, 10)
-        xyc = np.zeros((17, 3))
-        xyc[LEFT_SHOULDER] = (1, 1, 0.11)
-        xyc[RIGHT_SHOULDER] = (2, 2, 0.12)
-        xyc[LEFT_HIP] = (3, 3, 0.13)
-        xyc[RIGHT_HIP] = (4, 4, 0.14)
-        xyc[LEFT_EAR, 2] = 0.15
-        xyc[RIGHT_EAR, 2] = 0.16
-        vec = build_orientation_input(PoseKeypoints(xyc), bbox)
-        assert vec.shape == (14,)
-        assert list(vec[[2, 5, 8, 11]]) == [0.11, 0.12, 0.13, 0.14]
-        assert vec[12] == 0.15 and vec[13] == 0.16
+        poses = []
+        for k in range(3):
+            xyc = np.zeros((17, 3))
+            xyc[LEFT_SHOULDER] = (1, 1, 0.11 + k)
+            xyc[RIGHT_SHOULDER] = (2, 2, 0.12 + k)
+            xyc[LEFT_HIP] = (3, 3, 0.13 + k)
+            xyc[RIGHT_HIP] = (4, 4, 0.14 + k)
+            xyc[LEFT_EAR, 2] = 0.15 + k
+            xyc[RIGHT_EAR, 2] = 0.16 + k
+            poses.append(xyc)
+        rows = input_rows(poses, [BBox(0, 0, 10, 10)] * 3)
+        assert rows.shape == (3, 14)
+        for k, row in enumerate(rows):
+            assert list(row[[2, 5, 8, 11]]) == [0.11 + k, 0.12 + k, 0.13 + k, 0.14 + k]
+            assert row[12] == 0.15 + k and row[13] == 0.16 + k
+            assert list(row[[0, 3, 6, 9]]) == [0.1, 0.2, 0.3, 0.4]
 
 
 def naive_forward(inputs, weights):
@@ -147,6 +170,17 @@ def naive_forward(inputs, weights):
     return np.array(x)
 
 
+def one_at_a_time_forward(x, weights):
+    """The unbatched forward pass on one (14,) row: ``w @ x + b`` per layer."""
+    assert x.shape == (ORIENTATION_INPUT_DIM,)
+    last = len(weights.layers) - 1
+    for idx, (w, b) in enumerate(weights.layers):
+        x = w @ x + b
+        if idx != last:
+            x = np.maximum(x, 0.0)
+    return x
+
+
 class TestOrientationMlp:
     def test_zero_weights_tie_break_to_front(self):
         zero = MlpWeights(
@@ -155,7 +189,7 @@ class TestOrientationMlp:
                 for n_in, n_out in zip(MLP_LAYER_SIZES[:-1], MLP_LAYER_SIZES[1:])
             ]
         )
-        assert classify_orientation_mlp(np.zeros(14), zero) is Orientation.FRONT
+        assert classify_orientation_mlp(np.zeros((3, 14)), zero) == [Orientation.FRONT] * 3
 
     def test_final_bias_forces_class(self):
         layers = [
@@ -164,7 +198,8 @@ class TestOrientationMlp:
         ]
         layers[-1] = (layers[-1][0], np.array([0.0, 0.0, 1.0, 0.0]))
         weights = MlpWeights(layers)
-        assert classify_orientation_mlp(np.zeros(14), weights) is Orientation.LEFT
+        rows = np.random.default_rng(9).normal(size=(4, 14))
+        assert classify_orientation_mlp(rows, weights) == [Orientation.LEFT] * 4
 
     def test_matches_naive_matmul_oracle(self):
         rng = np.random.default_rng(10)
@@ -179,21 +214,105 @@ class TestOrientationMlp:
     def test_argmax_invariant_under_common_bias_shift(self):
         rng = np.random.default_rng(11)
         weights = MlpWeights.random(rng)
-        x = rng.normal(size=14)
-        before = classify_orientation_mlp(x, weights)
+        rows = rng.normal(size=(20, 14))
+        before = classify_orientation_mlp(rows, weights)
         w_last, b_last = weights.layers[-1]
         shifted = MlpWeights(weights.layers[:-1] + [(w_last, b_last + 123.456)])
-        assert classify_orientation_mlp(x, shifted) is before
+        assert classify_orientation_mlp(rows, shifted) == before
 
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(12)
         weights = MlpWeights.random(rng)
-        with pytest.raises(ValueError):
-            mlp_logits(np.zeros(13), weights)
+        for shape in [(13,), (5, 13), (14, 5), ()]:
+            with pytest.raises(ValueError):
+                mlp_logits(np.zeros(shape), weights)
         bad = [(w.copy(), b.copy()) for w, b in weights.layers]
         bad[2] = (np.zeros((128, 63)), np.zeros(128))
         with pytest.raises(ValueError):
             MlpWeights(bad)
+
+
+def random_detections(rng, n):
+    """n detections with random poses and boxes, in one frame."""
+    dets = []
+    for _ in range(n):
+        x, y = rng.uniform(-100, 1000, 2)
+        w, h = rng.uniform(0.5, 400, 2)
+        xyc = np.column_stack(
+            [
+                rng.uniform(x - 20, x + w + 20, 17),
+                rng.uniform(y - 20, y + h + 20, 17),
+                # Whole-number confidences hit the threshold exactly.
+                rng.choice([rng.uniform(0, 1), 0.0, 0.3, 1.0], 17),
+            ]
+        )
+        dets.append(
+            DetectionObservation(
+                camera_id=0,
+                frame=0,
+                bbox=BBox(float(x), float(y), float(w), float(h)),
+                det_confidence=0.9,
+                pose=PoseKeypoints(xyc),
+                embedding=np.zeros(4),
+            )
+        )
+    return dets
+
+
+class TestBatchEqualsOneAtATime:
+    """A batch gives each detection the bits it gets alone.
+
+    This guards NumPy's per-item dispatch: matmul on a stacked (n, k, 1)
+    operand calls one BLAS matrix-vector product per item, as ``w @ x``
+    does for one input. Each logit row is compared with both a one-row
+    ``mlp_logits`` call and the unbatched ``w @ x + b`` loop. If a NumPy
+    build sent the stack to one matrix product instead, rows would round
+    differently with the batch, and this test fails rather than letting
+    orientations change silently.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600))
+    @example(seed=0, n=MLP_CHUNK + 1)
+    @settings(max_examples=25, deadline=None)
+    def test_rows_and_states_match_single_detections(self, seed, n):
+        rng = np.random.default_rng(seed)
+        weights = MlpWeights.random(rng, scale=rng.choice([0.1, 1.0]))
+        dets = random_detections(rng, n)
+        xyc = np.stack([d.pose.xyc for d in dets])
+        boxes = np.array([(d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h) for d in dets])
+        rows = build_orientation_input(xyc, boxes)
+        logits = mlp_logits(rows, weights)
+        assert logits.shape == (n, 4)
+        for k in range(n):
+            alone = build_orientation_input(xyc[k : k + 1], boxes[k : k + 1])[0]
+            assert rows[k].tobytes() == alone.tobytes()
+            assert logits[k].tobytes() == mlp_logits(alone, weights).tobytes()
+            assert logits[k].tobytes() == one_at_a_time_forward(alone, weights).tobytes()
+
+        cfg = TrackerConfig()
+        for estimator in (OrientationEstimator(), OrientationEstimator(weights)):
+            batch = populate_state(copy.deepcopy(dets), cfg, estimator)
+            for det, got in zip(copy.deepcopy(dets), batch):
+                populate_state([det], cfg, estimator)
+                assert (got.occlusion, got.orientation) == (det.occlusion, det.orientation)
+
+
+def test_classifier_memory_is_bounded_by_the_chunk():
+    """The stacked pass holds about three (chunk, 128) temporaries plus the
+    chunk's poses and inputs, so its peak follows ``MLP_CHUNK``, not the
+    number of detections; one pass over all 4,000 peaks near 12 MiB."""
+    rng = np.random.default_rng(21)
+    dets = random_detections(rng, 4000)
+    assert len(dets) >= 8 * MLP_CHUNK
+    estimator = OrientationEstimator(MlpWeights.random(rng))
+    row_bytes = 8 * (3 * max(MLP_LAYER_SIZES) + 17 * 3 + ORIENTATION_INPUT_DIM)
+    tracemalloc.start()
+    try:
+        populate_state(dets, TrackerConfig(), estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MLP_CHUNK * row_bytes
 
 
 class TestGeometricOrientation:
