@@ -9,10 +9,7 @@ from .core import (
     PoseKeypoints,
     TrackRow,
     TrackerConfig,
-    euclidean_distance,
-    iou,
     iou_aligned,
-    iou_matrix,
 )
 from .features import FusedTrackingFeature
 from .sct import CameraTrackerState, Tracklet, TrackingPhase, run_sct
@@ -39,12 +36,9 @@ __all__ = [
     "Trajectory",
     "associate_mct",
     "clear_metrics",
-    "euclidean_distance",
     "generate_scenario",
     "id_measures",
-    "iou",
     "iou_aligned",
-    "iou_matrix",
     "run_mct",
     "run_sct",
     "scenario_presets",

@@ -29,14 +29,18 @@ from .synth import scenario_presets
 logger = logging.getLogger("mtmctrack")
 
 
+def _orientation_arg(value: str) -> str:
+    # Only the form is checked here: argparse would turn a weight-file
+    # fault into a usage error, so ``main`` loads the file.
+    if value != "geometric" and not value.startswith("mlp:"):
+        raise argparse.ArgumentTypeError(
+            f"--orientation must be 'geometric' or 'mlp:<weightfile>', got {value!r}"
+        )
+    return value
+
+
 def _estimator_from_arg(value: str) -> OrientationEstimator:
-    if value == "geometric":
-        return OrientationEstimator()
-    if value.startswith("mlp:"):
-        return OrientationEstimator(load_mlp_weights(value[4:]))
-    raise argparse.ArgumentTypeError(
-        f"--orientation must be 'geometric' or 'mlp:<weightfile>', got {value!r}"
-    )
+    return OrientationEstimator(None if value == "geometric" else load_mlp_weights(value[4:]))
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -44,8 +48,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, default=None, help="tracker config file")
     parser.add_argument(
         "--orientation",
-        type=_estimator_from_arg,
-        default=OrientationEstimator(),
+        type=_orientation_arg,
+        default="geometric",
         metavar="{geometric|mlp:<weightfile>}",
         help="orientation classifier to use (default: geometric)",
     )
@@ -141,14 +145,16 @@ def main(argv=None) -> int:
         elif args.command == "sct":
             cfg = load_config(args.config)
             _log_config(cfg)
+            estimator = _estimator_from_arg(args.orientation)
             dets = parse_detections(args.dets, cfg.feature_dim)
-            run_sct_stage(dets, cfg, args.out, args.offline, args.orientation)
+            run_sct_stage(dets, cfg, args.out, args.offline, estimator)
         elif args.command == "mct":
             track_files = find_track_files(args.tracks)
             cfg = load_config(args.config)
             _log_config(cfg)
+            estimator = _estimator_from_arg(args.orientation)
             dets = parse_detections(args.dets, cfg.feature_dim)
-            run_mct_stage(track_files, dets, cfg, args.out, args.orientation)
+            run_mct_stage(track_files, dets, cfg, args.out, estimator)
         elif args.command == "eval":
             gt_rows = parse_track_rows(args.gt)
             pred_rows = _load_pred_rows(args.pred)
@@ -165,7 +171,7 @@ def main(argv=None) -> int:
                 cfg=cfg,
                 seed=args.seed,
                 offline=args.offline,
-                estimator=args.orientation,
+                estimator=_estimator_from_arg(args.orientation),
             )
             print(
                 " ".join(f"{k}={report[k]}" for k in ("idf1", "idp", "idr", "mota", "ids"))

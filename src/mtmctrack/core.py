@@ -3,8 +3,7 @@
 Everything downstream (state estimation, feature fusion, association,
 evaluation) is written against the types in this module. All types are
 plain values: safe to copy between threads, no hidden mutability. Box
-overlap has one formula, ``iou_aligned`` over aligned box arrays;
-``iou_matrix`` is its broadcast case and ``iou`` its 1 x 1 case.
+overlap has one formula, ``iou_aligned`` over aligned box arrays.
 """
 
 from __future__ import annotations
@@ -50,16 +49,15 @@ class OcclusionStatus(Enum):
     INVALID = 1
 
 
-def as_feature(values, dim: Optional[int] = None) -> np.ndarray:
+def as_feature(values) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 embedding vector.
 
-    Raises ValueError on wrong dimensionality or non-finite components.
+    Raises ValueError when the array is not 1-D or has a non-finite
+    component.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"embedding must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"embedding has length {arr.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding contains non-finite components")
     return arr
@@ -132,8 +130,10 @@ def center_distance(a: BBox, b: BBox) -> float:
 class DetectionObservation:
     """One detector output for one frame.
 
-    ``occlusion`` and ``orientation`` start as None and are populated by the
-    state estimator before any association uses the observation.
+    ``embedding`` is coerced by ``as_feature`` on construction, so a
+    detection holds a finite 1-D float64 vector. ``occlusion`` and
+    ``orientation`` start as None and are populated by the state estimator
+    before any association uses the observation.
     """
 
     camera_id: int
@@ -154,6 +154,7 @@ class DetectionObservation:
             and (isinstance(c, bool) or not isinstance(c, numbers.Real))
         ) or not math.isfinite(c):
             raise ValueError(f"det_confidence must be a finite number, got {c!r}")
+        self.embedding = as_feature(self.embedding)
 
 
 @dataclass
@@ -232,20 +233,6 @@ def squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return d.dot(d)
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two embedding vectors of equal length.
-
-    For 1-D float64 inputs the result is bit-identical to
-    ``float(np.linalg.norm(a - b))``; see ``squared_distance``. Inputs of
-    more dimensions are compared element by element in C order.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return math.sqrt(squared_distance(a.ravel(), b.ravel()))
-
-
 def iou_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection-over-union of box ``a[k]`` with box ``b[k]`` for every
     ``k``: the one IoU formula of the package.
@@ -272,20 +259,6 @@ def iou_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         inter = iw * ih
         union = aw * ah + bw * bh - inter
         return np.where(union <= 0.0, 0.0, inter / union)
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every box of the (n, 4) array ``a`` with every box of the
-    (m, 4) array ``b``, as an (n, m) array: the broadcast case of
-    ``iou_aligned``."""
-    return iou_aligned(a[:, None, :], b[None, :, :])
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]: the 1 x 1 case of
-    ``iou_aligned``."""
-    boxes = np.array([[a.x, a.y, a.w, a.h], [b.x, b.y, b.w, b.h]], dtype=np.float64)
-    return float(iou_aligned(boxes[0], boxes[1]))
 
 
 def forbidden_matrix(rows: int, cols: int) -> np.ndarray:

@@ -11,8 +11,8 @@ Both metrics read one join on (camera, frame), which owns the row contract
 at or above the threshold). The join batches consecutive keys into chunks of
 at most ``CHUNK_PAIRS`` truth x predicted pairs (a larger key is a chunk of
 its own) and scores each chunk with one ``core.iou_aligned`` pass, the
-package's one IoU formula, so every overlap is the same double a per-key
-``iou_matrix`` gives.
+package's one IoU formula. Its entries do not depend on their neighbours,
+so the chunking changes no overlap.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .core import (
     OcclusionStatus,
     TrackerConfig,
     center_distance,
-    euclidean_distance,
     squared_distance,
 )
 
@@ -220,13 +219,13 @@ def rectify_distance(
 ) -> float:
     """Appearance distance for rectifying: the smallest distance between a
     cluster of ``a`` and one of ``b``, or the forbidden sentinel when the
-    cluster channel is off or a set is empty."""
+    cluster channel is off or a set is empty. Like ``cluster_distance`` it
+    roots the smallest square, which is the smallest distance (see
+    ``squared_distance``)."""
     if not cfg.use_cluster_feature:
         return FORBIDDEN
-    return min(
-        (euclidean_distance(ca.mean, cb.mean) for ca in a.cluster_set for cb in b.cluster_set),
-        default=FORBIDDEN,
-    )
+    squares = (squared_distance(ca.mean, cb.mean) for ca in a.cluster_set for cb in b.cluster_set)
+    return math.sqrt(min(squares, default=FORBIDDEN))
 
 
 def cluster_distance(
@@ -239,11 +238,7 @@ def cluster_distance(
     pairs = [(a.avg, b.avg)]
     if cfg.use_orientation_feature:
         pairs += zip(a.orientation_bank, b.orientation_bank)
-    return min(
-        (
-            euclidean_distance(sa.mean, sb.mean)
-            for sa, sb in pairs
-            if sa is not None and sb is not None
-        ),
-        default=FORBIDDEN,
+    squares = (
+        squared_distance(sa.mean, sb.mean) for sa, sb in pairs if sa is not None and sb is not None
     )
+    return math.sqrt(min(squares, default=FORBIDDEN))

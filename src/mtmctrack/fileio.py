@@ -31,7 +31,6 @@ from .core import (
     PoseKeypoints,
     TrackRow,
     TrackerConfig,
-    as_feature,
 )
 
 PathLike = Union[str, Path]
@@ -133,7 +132,13 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
                         f"{path}: line {lineno}: expected {KEYPOINT_FLOATS} keypoint "
                         f"floats, got {len(keypoints)}"
                     )
-                embedding = as_feature(record["embedding"], feature_dim)
+                # DetectionObservation checks the values themselves.
+                embedding = record["embedding"]
+                if len(embedding) != feature_dim:
+                    raise ParseError(
+                        f"{path}: line {lineno}: embedding has length "
+                        f"{len(embedding)}, expected {feature_dim}"
+                    )
                 bbox = record["bbox"]
                 if len(bbox) != 4:
                     raise ParseError(
@@ -319,6 +324,12 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
                     values[key] = int(number)
             else:
                 values[key] = number
+            # Every field is checked on its own, so a value TrackerConfig
+            # refuses is named with its line.
+            try:
+                TrackerConfig(**{key: values[key]})
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return TrackerConfig(**values)
 
 

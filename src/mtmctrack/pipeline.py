@@ -88,11 +88,7 @@ def trajectories_from_rows(
 ) -> list[Trajectory]:
     """Rebuild per-camera trajectories from row files plus the original
     detections (the rows alone carry no appearance)."""
-    populate_state(
-        [d for d in dets if d.occlusion is None or d.orientation is None],
-        cfg,
-        estimator or OrientationEstimator(),
-    )
+    populate_state(dets, cfg, estimator)
     lookup: dict[tuple, DetectionObservation] = {}
     for det in dets:
         key = (det.camera_id, det.frame, det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h)

@@ -271,7 +271,7 @@ def _emit_window(state: CameraTrackerState) -> list[TrackRow]:
         for obs in t.observations:
             if since is None or obs.frame > since:
                 rows.append(TrackRow(state.camera_id, obs.frame, t.id, obs.bbox))
-    rows.sort(key=lambda r: (r.frame, r.identity))
+    rows.sort(key=TrackRow.sort_key)
     state.last_emit_frame = state.current_frame
     state.finished = []
     return rows
@@ -283,11 +283,7 @@ def _process_one_frame(
     cfg = state.cfg
     state.current_frame = frame
 
-    populate_state(
-        [d for d in dets if d.occlusion is None or d.orientation is None],
-        cfg,
-        state.orientation_estimator,
-    )
+    populate_state(dets, cfg, state.orientation_estimator)
 
     matrix = compute_distance_matrix(state.tracklets, dets, cfg)
     result = hungarian(matrix)

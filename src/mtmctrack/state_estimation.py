@@ -203,11 +203,13 @@ class OrientationEstimator:
 
 
 def populate_state(dets, cfg: TrackerConfig, estimator: OrientationEstimator | None = None):
-    """Fill in occlusion and orientation for each detection of a list, in
-    place. Each detection gets what it would get alone."""
+    """Fill in occlusion and orientation, in place, for each detection of a
+    list that lacks either; a detection with both keeps them. Each detection
+    gets what it would get alone."""
     if estimator is None:
         estimator = OrientationEstimator()
-    for det, orientation in zip(dets, estimator.classify(dets, cfg.gamma_valid)):
+    todo = [d for d in dets if d.occlusion is None or d.orientation is None]
+    for det, orientation in zip(todo, estimator.classify(todo, cfg.gamma_valid)):
         det.occlusion = estimate_occlusion(det.pose, cfg)
         det.orientation = orientation
     return dets

@@ -19,7 +19,6 @@ from mtmctrack.core import (
     PoseKeypoints,
     TrackRow,
     TrackerConfig,
-    iou,
 )
 from mtmctrack.evaluation import id_measures
 from mtmctrack.features import FusedTrackingFeature, update_on_match
@@ -32,6 +31,16 @@ from mtmctrack.state_estimation import (
     mlp_logits,
 )
 from mtmctrack.fileio import parse_track_rows
+
+
+def scalar_iou(a, b):
+    """IoU of two BBoxes written out in Python floats, apart from the
+    package's formula; ``tests/test_core.py`` checks that formula against
+    the same arithmetic bit for bit."""
+    iw = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
+    ih = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+    inter = iw * ih
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -275,7 +284,7 @@ def _exhaustive_idf1(gt_rows, pred_rows, thr=0.5):
     for g, gf in gt_tracks.items():
         for p, pf in pred_tracks.items():
             counts[(g, p)] = sum(
-                1 for key, box in gf.items() if key in pf and iou(box, pf[key]) >= thr
+                1 for key, box in gf.items() if key in pf and scalar_iou(box, pf[key]) >= thr
             )
     gids, pids = list(gt_tracks), list(pred_tracks)
     best = 0
@@ -387,7 +396,7 @@ def test_09_cross_camera_links(tmp_path):
         votes = {}
         for g in rows:
             for pid, box in pred_by_key.get((g.camera_id, g.frame), {}).items():
-                if iou(g.bbox, box) >= 0.5:
+                if scalar_iou(g.bbox, box) >= 0.5:
                     votes[pid] = votes.get(pid, 0) + 1
         if not votes:
             return None

@@ -12,35 +12,42 @@ from mtmctrack.core import (
     PoseKeypoints,
     TrackerConfig,
     center_distance,
-    euclidean_distance,
-    iou,
     iou_aligned,
-    iou_matrix,
     squared_distance,
 )
+
+
+def euclidean(a, b):
+    """The package's Euclidean distance: the root of the one kernel."""
+    return math.sqrt(squared_distance(a, b))
+
+
+def iou(a, b):
+    """IoU of two BBoxes through ``iou_aligned``, as a float."""
+    return float(iou_aligned(np.array([a.x, a.y, a.w, a.h]), np.array([b.x, b.y, b.w, b.h])))
 
 
 class TestEuclideanDistance:
     def test_identity_is_zero(self):
         v = np.arange(128, dtype=float)
-        assert euclidean_distance(v, v) == 0.0
+        assert euclidean(v, v) == 0.0
 
     def test_three_four_five(self):
         a = np.zeros(128)
         a[0], a[1] = 3.0, 4.0
-        assert euclidean_distance(a, np.zeros(128)) == pytest.approx(5.0)
+        assert euclidean(a, np.zeros(128)) == pytest.approx(5.0)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=128)
         b = rng.normal(size=128)
         naive = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        assert euclidean_distance(a, b) == pytest.approx(naive, abs=1e-12)
+        assert euclidean(a, b) == pytest.approx(naive, abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=16), rng.normal(size=16)
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
+        assert euclidean(a, b) == euclidean(b, a)
 
     @given(
         length=st.integers(1, 300),
@@ -52,17 +59,7 @@ class TestEuclideanDistance:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=length) * scale
         b = rng.normal(size=length) * scale
-        assert euclidean_distance(a, b) == float(np.linalg.norm(a - b))
-        assert math.sqrt(squared_distance(a, b)) == float(np.linalg.norm(a - b))
-
-    def test_matrix_inputs_compare_elementwise(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-        assert euclidean_distance(a, b) == float(np.linalg.norm(a - b))
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="dimension"):
-            euclidean_distance(np.zeros(4), np.zeros(5))
+        assert euclidean(a, b) == float(np.linalg.norm(a - b))
 
     @given(
         st.lists(st.floats(-100, 100), min_size=8, max_size=8),
@@ -72,9 +69,7 @@ class TestEuclideanDistance:
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, a, b, c):
         a, b, c = np.array(a), np.array(b), np.array(c)
-        assert euclidean_distance(a, c) <= (
-            euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
-        )
+        assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-9
 
 
 class TestIoU:
@@ -110,8 +105,8 @@ class TestIoU:
 
 def scalar_iou(a, b):
     """The IoU formula of two (x, y, w, h) tuples, written out in Python
-    floats: the reference ``iou_aligned`` and ``iou_matrix`` must match bit
-    for bit."""
+    floats: the reference ``iou_aligned`` must match bit for bit, aligned
+    or broadcast."""
     ix = max(a[0], b[0])
     iy = max(a[1], b[1])
     ix2 = min(a[0] + a[2], b[0] + b[2])
@@ -162,8 +157,9 @@ class TestIoUMatrix:
     @settings(max_examples=300, deadline=None)
     @given(box_sets())
     def test_bit_identical_to_scalar_formula(self, sets):
+        # The broadcast case: every truth box against every predicted box.
         a, b = sets
-        got = iou_matrix(as_boxes(a), as_boxes(b))
+        got = iou_aligned(as_boxes(a)[:, None, :], as_boxes(b)[None, :, :])
         want = np.array([scalar_iou(p, q) for p in a for q in b], dtype=np.float64)
         assert got.shape == (len(a), len(b))
         assert got.dtype == np.float64
@@ -180,15 +176,8 @@ class TestIoUMatrix:
         assert got.shape == (len(pairs),)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        matrix = iou_matrix(as_boxes(a), as_boxes(b)).reshape(-1)
+        matrix = iou_aligned(as_boxes(a)[:, None, :], as_boxes(b)[None, :, :]).reshape(-1)
         assert np.array_equal(matrix.view(np.uint64), got.view(np.uint64))
-
-    @settings(max_examples=100, deadline=None)
-    @given(BOX, BOX)
-    def test_iou_is_the_one_by_one_case(self, p, q):
-        got = iou(BBox(*p), BBox(*q))
-        assert type(got) is float
-        assert np.float64(got).view(np.uint64) == np.float64(scalar_iou(p, q)).view(np.uint64)
 
 
 class TestTypes:
@@ -348,3 +337,35 @@ class TestTypes:
             embedding=np.zeros(4),
         )
         assert det.det_confidence == value
+
+    @pytest.mark.parametrize(
+        "embedding, message",
+        [
+            ([0.0, float("nan")], "non-finite"),
+            (np.array([float("inf"), 0.0]), "non-finite"),
+            (np.zeros((2, 2)), "1-D"),
+            (0.5, "1-D"),
+        ],
+    )
+    def test_detection_rejects_bad_embedding(self, embedding, message):
+        with pytest.raises(ValueError, match=message):
+            DetectionObservation(
+                camera_id=0,
+                frame=0,
+                bbox=BBox(0.0, 0.0, 10.0, 10.0),
+                det_confidence=0.9,
+                pose=PoseKeypoints(np.zeros((17, 3))),
+                embedding=embedding,
+            )
+
+    def test_detection_holds_a_float64_vector(self):
+        det = DetectionObservation(
+            camera_id=0,
+            frame=0,
+            bbox=BBox(0.0, 0.0, 10.0, 10.0),
+            det_confidence=0.9,
+            pose=PoseKeypoints(np.zeros((17, 3))),
+            embedding=[1, 2.5],
+        )
+        assert det.embedding.dtype == np.float64
+        assert det.embedding.tolist() == [1.0, 2.5]

@@ -1,12 +1,21 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from mtmctrack import evaluation
-from mtmctrack.core import BBox, TrackRow, iou, iou_matrix
+from mtmctrack.core import BBox, TrackRow
 from mtmctrack.evaluation import _colocated, clear_metrics, id_measures
+
+
+def scalar_iou(a, b):
+    """IoU of two BBoxes written out in Python floats, apart from the
+    package's formula; ``tests/test_core.py`` checks that formula against
+    the same arithmetic bit for bit."""
+    iw = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
+    ih = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+    inter = iw * ih
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def row(frame, ident, x=0.0, y=0.0, cam=0, w=10.0, h=10.0):
@@ -31,7 +40,7 @@ def exhaustive_id_measures(gt, pred, thr=0.5):
             counts[(g, p)] = sum(
                 1
                 for key, box in gf.items()
-                if key in pf and iou(box, pf[key]) >= thr
+                if key in pf and scalar_iou(box, pf[key]) >= thr
             )
     gids, pids = list(gt_tracks), list(pred_tracks)
     best = 0
@@ -68,13 +77,13 @@ def exhaustive_clear(gt, pred, thr=0.5):
                 return
             yield from matchings(i + 1, used)
             for j, pr in enumerate(p_rows):
-                if j not in used and iou(g_rows[i].bbox, pr.bbox) >= thr:
+                if j not in used and scalar_iou(g_rows[i].bbox, pr.bbox) >= thr:
                     for rest in matchings(i + 1, used | {j}):
                         yield [(g_rows[i], pr)] + rest
 
         def rank(m):
             fresh = sum(last_pair.get((cam, g.identity)) != p.identity for g, p in m)
-            return (-len(m), fresh, sum(1.0 - iou(g.bbox, p.bbox) for g, p in m))
+            return (-len(m), fresh, sum(1.0 - scalar_iou(g.bbox, p.bbox) for g, p in m))
 
         best = min(matchings(0, frozenset()), key=rank)
         fn += len(g_rows) - len(best)
@@ -185,7 +194,7 @@ class TestIdMeasures:
         # Intersection 50, union 100 + 50 - 50: IoU exactly 0.5.
         gt = [row(0, 1)]
         pred = [row(0, 7, h=5.0)]
-        assert iou(gt[0].bbox, pred[0].bbox) == 0.5
+        assert scalar_iou(gt[0].bbox, pred[0].bbox) == 0.5
         assert id_measures(gt, pred).idtp == 1
         assert clear_metrics(gt, pred) == clear_metrics(gt, gt)
         assert id_measures(gt, pred, iou_threshold=np.nextafter(0.5, 1.0)).idtp == 0
@@ -302,7 +311,8 @@ def random_keys(rng, n_keys):
 
 
 def per_key_join(gt, pred, thr):
-    """The join key by key: one ``iou_matrix`` per (camera, frame)."""
+    """The join key by key: every truth x predicted pair of a (camera,
+    frame), scored by ``scalar_iou``."""
     out = []
     for key in sorted({(r.camera_id, r.frame) for r in gt + pred}):
         g_rows, p_rows = (
@@ -310,11 +320,10 @@ def per_key_join(gt, pred, thr):
             for rows in (gt, pred)
         )
         pairs = []
-        if g_rows and p_rows:
-            boxes = [np.array([dataclasses.astuple(r.bbox) for r in rows]) for rows in (g_rows, p_rows)]
-            overlaps = iou_matrix(*boxes)
-            for i, j in zip(*np.nonzero(overlaps >= thr)):
-                pairs.append((int(i), int(j), float(overlaps[i, j])))
+        for (i, g), (j, p) in itertools.product(enumerate(g_rows), enumerate(p_rows)):
+            overlap = scalar_iou(g.bbox, p.bbox)
+            if overlap >= thr:
+                pairs.append((i, j, overlap))
         out.append((key, g_rows, p_rows, pairs))
     return out
 

@@ -396,6 +396,7 @@ STEPS = st.lists(
     ),
     max_size=12,
 )
+SWITCHES = ("use_orientation_feature", "use_cluster_feature", "use_invalid_feature")
 FRONT_ONLY = [(True, Orientation.FRONT, [1.0, 0.0, 0.0, 0.0])]
 INVALID_ONLY = [(False, Orientation.BACK, [2.0, 0.0, 0.0, 0.0])]
 
@@ -408,17 +409,17 @@ class TestRuleDistanceOracle:
     @example(steps_a=[], steps_b=FRONT_ONLY, n_c=2)
     @example(steps_a=INVALID_ONLY, steps_b=FRONT_ONLY, n_c=1)
     @example(steps_a=FRONT_ONLY, steps_b=[(True, Orientation.LEFT, [0.0] * 4)], n_c=1)
+    @example(steps_a=[], steps_b=INVALID_ONLY, n_c=1)
     def test_rule_distances_match_reference(self, steps_a, steps_b, n_c):
+        # Bit for bit, with every switch on or off: each rule roots its
+        # smallest square, the reference takes the smallest norm.
         a, b = fold_steps(steps_a, n_c), fold_steps(steps_b, n_c)
-        for use_orientation, use_cluster in itertools.product((False, True), repeat=2):
-            cfg = TrackerConfig(
-                feature_dim=4,
-                use_orientation_feature=use_orientation,
-                use_cluster_feature=use_cluster,
-            )
-            rectify_ref, cluster_ref = reference_rule_distances(a, b, cfg)
-            assert rectify_distance(a, b, cfg) == rectify_ref
-            assert cluster_distance(a, b, cfg) == cluster_ref
+        for switches in itertools.product((False, True), repeat=3):
+            cfg = TrackerConfig(feature_dim=4, **dict(zip(SWITCHES, switches)))
+            refs = reference_rule_distances(a, b, cfg)
+            got = (rectify_distance(a, b, cfg), cluster_distance(a, b, cfg))
+            assert [type(d) for d in got] == [float, float]
+            assert [d.hex() for d in got] == [d.hex() for d in refs]
 
 
 class TestInvariants:

@@ -132,7 +132,22 @@ class TestDetectionFile:
         }
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match="line 1: embedding has length 100, expected 128"):
+            parse_detections(path)
+
+    def test_nested_embedding_names_line(self, tmp_path):
+        # The length is checked while parsing, the values by the detection.
+        record = {
+            "camera": 0,
+            "frame": 1,
+            "bbox": [0, 0, 10, 10],
+            "conf": 0.9,
+            "keypoints": [0.0] * 51,
+            "embedding": [[0.0]] * 128,
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match="line 1: embedding must be 1-D"):
             parse_detections(path)
 
     @pytest.mark.parametrize(
@@ -450,6 +465,21 @@ class TestConfigFile:
         with pytest.raises(ParseError, match="line 2.*must be 0 or 1"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("n_c", "0", "n_c must be positive and finite, got 0"),
+            ("gamma_valid", "1", "gamma_valid must be < 1, got 1.0"),
+            ("theta_valid", "17", "theta_valid must be < 17"),
+        ],
+    )
+    def test_value_the_config_refuses_names_line(self, tmp_path, key, raw, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"mu_d = 200\n{key} = {raw}\n")
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: line 2: {message}"
+
     # The kind of every config field, written out by hand.
     INT_FIELDS = (
         "theta_valid", "mu_m", "mu_d", "k_interval",
@@ -680,6 +710,38 @@ class TestCli:
         )
         assert code == 0
         assert (out / "cam0.txt").exists()
+
+    def test_orientation_flag_form_is_a_usage_error(self, tmp_path):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text("")
+        argv = ["sct", "--dets", str(dets), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--orientation", "mlp-weights.txt"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sct", "mct", "pipeline"])
+    @pytest.mark.parametrize("fault", ["missing", "malformed"])
+    def test_weight_file_fault_returns_error_naming_it(self, tmp_path, caplog, command, fault):
+        weights = tmp_path / "orientation.weights"
+        if fault == "malformed":
+            weights.write_text("mlp 14 128 64 128 64 4\nlayer 14 99\n")
+        dets = tmp_path / "d.jsonl"
+        dets.write_text("")
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        write_track_rows(tracks / "cam0.txt", [])
+        out = tmp_path / "out"
+        argv = {
+            "sct": ["sct", "--dets", str(dets)],
+            "mct": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
+            "pipeline": ["pipeline", "--preset", "easy_single_cam"],
+        }[command]
+        code = main(argv + ["--out", str(out), "--orientation", f"mlp:{weights}"])
+        assert code == 1
+        assert str(weights) in caplog.text
+        if fault == "malformed":
+            assert f"{weights}: line 2: layer declaration" in caplog.text
+        assert not out.exists()
 
     def test_no_partial_output_on_error(self, tmp_path):
         target = tmp_path / "no_such_dir" / "rows.csv"

@@ -108,6 +108,22 @@ def test_every_exported_name_resolves():
     assert [name for name in mtmctrack.__all__ if not hasattr(mtmctrack, name)] == []
 
 
+def test_every_exported_name_is_used():
+    # An export that no module of the package and no benchmark script loads
+    # or imports is API that nothing calls. Tests do not count: a test keeps
+    # any name it checks alive.
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert [name for name in mtmctrack.__all__ if name not in used] == []
+
+
 def test_third_party_imports_are_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     # Each import name here equals its distribution's name.

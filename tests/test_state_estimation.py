@@ -297,6 +297,24 @@ class TestBatchEqualsOneAtATime:
                 assert (got.occlusion, got.orientation) == (det.occlusion, det.orientation)
 
 
+def test_populate_state_fills_only_detections_without_state():
+    rng = np.random.default_rng(8)
+    cfg = TrackerConfig()
+    estimator = OrientationEstimator(MlpWeights.random(rng))
+    dets = random_detections(rng, 3)
+    alone = [populate_state([copy.deepcopy(d)], cfg, estimator)[0] for d in dets]
+    stated, bare, half = dets
+    # A state the estimator would not give, so a refill would show.
+    stated.occlusion = OcclusionStatus(1 - alone[0].occlusion.value)
+    stated.orientation = Orientation((alone[0].orientation.value + 1) % 4)
+    kept = (stated.occlusion, stated.orientation)
+    half.occlusion = stated.occlusion
+    assert populate_state(dets, cfg, estimator) is dets
+    assert (stated.occlusion, stated.orientation) == kept
+    for det, want in zip((bare, half), alone[1:]):
+        assert (det.occlusion, det.orientation) == (want.occlusion, want.orientation)
+
+
 def test_classifier_memory_is_bounded_by_the_chunk():
     """The stacked pass holds about three (chunk, 128) temporaries plus the
     chunk's poses and inputs, so its peak follows ``MLP_CHUNK``, not the
