@@ -58,9 +58,21 @@ def as_feature(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"embedding must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("embedding contains non-finite components")
     return arr
+
+
+def check_poses(xyc: np.ndarray) -> None:
+    """The pose rule, over one (17, 3) pose or a stack of them shaped
+    (..., 17, 3): every x and y is finite and every confidence lies in
+    [0, 1]. Raises ValueError naming the rule that fails."""
+    if not np.isfinite(xyc[..., :2]).all():
+        raise ValueError("keypoint coordinates must be finite")
+    conf = xyc[..., 2]
+    # Written so that a NaN confidence fails the range check.
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise ValueError("keypoint confidences must lie in [0, 1]")
 
 
 class PoseKeypoints:
@@ -73,13 +85,16 @@ class PoseKeypoints:
         arr = np.asarray(xyc, dtype=np.float64)
         if arr.shape != (NUM_KEYPOINTS, 3):
             raise ValueError(f"pose must have shape (17, 3), got {arr.shape}")
-        if not np.isfinite(arr[:, :2]).all():
-            raise ValueError("keypoint coordinates must be finite")
-        conf = arr[:, 2]
-        # Written so that a NaN confidence fails the range check.
-        if not ((conf >= 0.0) & (conf <= 1.0)).all():
-            raise ValueError("keypoint confidences must lie in [0, 1]")
+        check_poses(arr)
         self.xyc = arr
+
+    @classmethod
+    def from_checked(cls, xyc: np.ndarray) -> PoseKeypoints:
+        """A pose over a (17, 3) float64 array that ``check_poses`` has
+        already passed, with its stack: neither copied nor checked again."""
+        pose = cls.__new__(cls)
+        pose.xyc = xyc
+        return pose
 
     @property
     def confidences(self) -> np.ndarray:

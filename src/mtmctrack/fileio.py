@@ -31,6 +31,7 @@ from .core import (
     PoseKeypoints,
     TrackRow,
     TrackerConfig,
+    check_poses,
 )
 
 PathLike = Union[str, Path]
@@ -39,6 +40,15 @@ KEYPOINT_FLOATS = NUM_KEYPOINTS * 3
 # The Python types a JSON number decodes to; bool, a subclass of int, is not
 # among them.
 JSON_NUMBER = frozenset((int, float))
+# The dtype kinds of a stack of JSON numbers: bool, signed and unsigned
+# integer, float. NumPy promotes true and false among numbers, so they read
+# as 1 and 0; a string gives a "U" stack and a null an "O" stack.
+NUMBER_KINDS = "biuf"
+# Records decoded between two stacks of their keypoints and embeddings. One
+# np.array call and one pose check per chunk outweigh their fixed cost at a
+# few dozen records, while a chunk's decoded lists (about 4.5 KiB a record)
+# add to peak memory until they are stacked.
+DECODE_CHUNK = 64
 
 
 class ParseError(ValueError):
@@ -110,78 +120,130 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
     """Read a detection file; records are sorted by (camera, frame) stably.
 
     Each line must be ASCII JSON without ``NaN``/``Infinity`` tokens, with
-    integer ``camera`` and ``frame``. Occlusion and orientation are left
-    unset: they are derived state, not detector output.
+    integer ``camera`` and ``frame`` and numbers for everything else
+    (``true`` and ``false`` among keypoints or embedding read as 1 and 0).
+    Occlusion and orientation are left unset: they are derived state, not
+    detector output.
+
+    Lines are decoded and checked one at a time; their keypoints and
+    embeddings are stacked and checked ``DECODE_CHUNK`` records at a time,
+    and each detection holds row views of its chunk's stacks. A fault names
+    the first faulty line.
     """
     dets = []
+    chunk: list[tuple] = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if not line.isascii():
-                raise ParseError(f"{path}: line {lineno}: non-ASCII bytes")
             try:
-                record = orjson.loads(line)
-            except orjson.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                keypoints = record["keypoints"]
-                if len(keypoints) != KEYPOINT_FLOATS:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected {KEYPOINT_FLOATS} keypoint "
-                        f"floats, got {len(keypoints)}"
-                    )
-                # DetectionObservation checks the values themselves.
-                embedding = record["embedding"]
-                if len(embedding) != feature_dim:
-                    raise ParseError(
-                        f"{path}: line {lineno}: embedding has length "
-                        f"{len(embedding)}, expected {feature_dim}"
-                    )
-                bbox = record["bbox"]
-                if len(bbox) != 4:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bbox needs 4 values, got {len(bbox)}"
-                    )
-                x, y, w, h = bbox
-                conf = record["conf"]
-                # One set of five types per record: a per-value check over the
-                # keypoints and embedding as well costs a tenth of the parse.
-                if not {type(conf), type(x), type(y), type(w), type(h)} <= JSON_NUMBER:
-                    raise ParseError(
-                        f"{path}: line {lineno}: conf and bbox must be JSON numbers, "
-                        f"got conf {conf!r}, bbox {bbox!r}"
-                    )
-                camera, frame = record["camera"], record["frame"]
-                for key, value in (("camera", camera), ("frame", frame)):
-                    # bool is an int subclass; a float here may be a rounded
-                    # integer too large for 64 bits.
-                    if type(value) is not int:
-                        raise ParseError(
-                            f"{path}: line {lineno}: {key} must be an integer, "
-                            f"got {value!r}"
-                        )
-                dets.append(
-                    DetectionObservation(
-                        camera_id=camera,
-                        frame=frame,
-                        bbox=BBox(float(x), float(y), float(w), float(h)),
-                        det_confidence=float(conf),
-                        pose=PoseKeypoints(
-                            np.asarray(keypoints, dtype=np.float64).reshape(
-                                NUM_KEYPOINTS, 3
-                            )
-                        ),
-                        embedding=embedding,
-                    )
-                )
+                chunk.append(_decode_record(path, lineno, line, feature_dim))
             except ParseError:
+                # A value fault on an earlier line of the chunk comes first.
+                _build_chunk(path, chunk)
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if len(chunk) == DECODE_CHUNK:
+                dets += _build_chunk(path, chunk)
+                chunk = []
+    dets += _build_chunk(path, chunk)
     dets.sort(key=lambda d: (d.camera_id, d.frame))
     return dets
+
+
+def _decode_record(path: PathLike, lineno: int, line: bytes, feature_dim: int) -> tuple:
+    """One line's checks: ASCII, JSON, the lengths of keypoints, embedding
+    and bbox, number types of conf and bbox, integer camera and frame.
+    Returns ``(lineno, camera, frame, bbox, conf, keypoints, embedding)``
+    with the two lists as decoded."""
+    if not line.isascii():
+        raise ParseError(f"{path}: line {lineno}: non-ASCII bytes")
+    try:
+        record = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+    try:
+        keypoints = record["keypoints"]
+        if len(keypoints) != KEYPOINT_FLOATS:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {KEYPOINT_FLOATS} keypoint "
+                f"floats, got {len(keypoints)}"
+            )
+        embedding = record["embedding"]
+        if len(embedding) != feature_dim:
+            raise ParseError(
+                f"{path}: line {lineno}: embedding has length "
+                f"{len(embedding)}, expected {feature_dim}"
+            )
+        bbox = record["bbox"]
+        if len(bbox) != 4:
+            raise ParseError(
+                f"{path}: line {lineno}: bbox needs 4 values, got {len(bbox)}"
+            )
+        x, y, w, h = bbox
+        conf = record["conf"]
+        # One set of five types per record; the keypoints and embedding are
+        # typed by their chunk's stacks.
+        if not {type(conf), type(x), type(y), type(w), type(h)} <= JSON_NUMBER:
+            raise ParseError(
+                f"{path}: line {lineno}: conf and bbox must be JSON numbers, "
+                f"got conf {conf!r}, bbox {bbox!r}"
+            )
+        camera, frame = record["camera"], record["frame"]
+        for key, value in (("camera", camera), ("frame", frame)):
+            # bool is an int subclass; a float here may be a rounded
+            # integer too large for 64 bits.
+            if type(value) is not int:
+                raise ParseError(
+                    f"{path}: line {lineno}: {key} must be an integer, got {value!r}"
+                )
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    return lineno, camera, frame, bbox, conf, keypoints, embedding
+
+
+def _build_chunk(path: PathLike, chunk: list[tuple]) -> list[DetectionObservation]:
+    """The detections of a chunk of decoded records, in order. The keypoints
+    and the embeddings are each stacked by one ``np.array`` call, both stacks
+    are typed, and the keypoint stack is checked by the pose rule once; each
+    detection then checks its box, confidence and embedding. When any check
+    fails, the records are built again one at a time, so the first faulty
+    one raises with its line."""
+    if not chunk:
+        return []
+    n = len(chunk)
+    try:
+        xyc = np.array([r[5] for r in chunk])
+        emb = np.array([r[6] for r in chunk])
+        if (
+            xyc.dtype.kind not in NUMBER_KINDS
+            or xyc.ndim != 2
+            or emb.dtype.kind not in NUMBER_KINDS
+        ):
+            raise ValueError("keypoints and embedding must be JSON numbers")
+        xyc = xyc.astype(np.float64, copy=False).reshape(n, NUM_KEYPOINTS, 3)
+        check_poses(xyc)
+        return [
+            DetectionObservation(
+                camera_id=camera,
+                frame=frame,
+                bbox=BBox(float(x), float(y), float(w), float(h)),
+                det_confidence=float(conf),
+                pose=PoseKeypoints.from_checked(pose),
+                embedding=row,
+            )
+            for (_, camera, frame, (x, y, w, h), conf, _, _), pose, row in zip(
+                chunk, xyc, emb.astype(np.float64, copy=False)
+            )
+        ]
+    except (TypeError, ValueError) as exc:
+        if n == 1:
+            raise ParseError(f"{path}: line {chunk[0][0]}: {exc}") from exc
+    for record in chunk:
+        _build_chunk(path, [record])
+    raise AssertionError("a chunk check failed, but no record of the chunk did")
 
 
 def write_track_rows(

@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -262,15 +264,18 @@ def _emit_window(state: CameraTrackerState) -> list[TrackRow]:
     """Rows for all frames after the previous emission, from every tracklet
     that holds a valid detection, so ever reached Confirmed (never-confirmed
     Tentatives are treated as false positives and dropped). The finished
-    tracklets are then dropped: none holds a later detection or merges."""
+    tracklets are then dropped: none holds a later detection or merges.
+    A history's frames strictly increase, so its new detections are found
+    by bisection, without visiting those emitted before."""
     since = state.last_emit_frame
     rows = []
     for t in state.tracklets + state.finished:
         if t.fused.avg is None:
             continue
-        for obs in t.observations:
-            if since is None or obs.frame > since:
-                rows.append(TrackRow(state.camera_id, obs.frame, t.id, obs.bbox))
+        obs = t.observations
+        first = 0 if since is None else bisect_right(obs, since, key=attrgetter("frame"))
+        for o in obs[first:]:
+            rows.append(TrackRow(state.camera_id, o.frame, t.id, o.bbox))
     rows.sort(key=TrackRow.sort_key)
     state.last_emit_frame = state.current_frame
     state.finished = []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mtmctrack.core import (
     PoseKeypoints,
     TrackerConfig,
     center_distance,
+    check_poses,
     iou_aligned,
     squared_distance,
 )
@@ -303,6 +305,30 @@ class TestTypes:
             xyc[4, column] = np.inf
             with pytest.raises(ValueError):
                 PoseKeypoints(xyc)
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize(
+        "column,value",
+        [(0, np.nan), (1, np.inf), (2, np.nan), (2, -0.5), (2, 1.5)],
+    )
+    def test_stacked_pose_rule_is_the_pose_rule(self, position, column, value):
+        # The parser checks a chunk's poses by one call; it must refuse a
+        # stack exactly when one of its poses is refused, with its message.
+        rng = np.random.default_rng(position)
+        stack = rng.uniform(0.0, 1.0, (5, 17, 3))
+        check_poses(stack)
+        for pose in stack:
+            PoseKeypoints(pose)
+        stack[position, 7, column] = value
+        with pytest.raises(ValueError) as single:
+            PoseKeypoints(stack[position])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            check_poses(stack)
+
+    def test_pose_from_checked_keeps_the_array(self):
+        stack = np.zeros((2, 17, 3))
+        pose = PoseKeypoints.from_checked(stack[1])
+        assert pose.xyc.base is stack and pose == PoseKeypoints(np.zeros((17, 3)))
 
     # NumPy scalars are not plain floats, so they take the ABC check.
     @pytest.mark.parametrize(

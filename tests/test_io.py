@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mtmctrack import fileio
 from mtmctrack.cli import main
 from mtmctrack.core import (
     BBox,
@@ -284,6 +285,136 @@ class TestDetectionFile:
         )
         with pytest.raises(ParseError, match="line 2: non-ASCII"):
             parse_detections(path)
+
+
+def random_records(count, seed=0):
+    """``count`` detection records of FEATURE_DIM embeddings, in (camera,
+    frame) order, each value drawn so that no two records agree."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(count):
+        xyc = rng.normal(0.0, 100.0, (NUM_KEYPOINTS, 3))
+        xyc[:, 2] = rng.uniform(0.0, 1.0, NUM_KEYPOINTS)
+        records.append(
+            {
+                "camera": i % 3,
+                "frame": i,
+                "bbox": [*rng.normal(0.0, 100.0, 2), *rng.uniform(1.0, 50.0, 2)],
+                "conf": float(rng.uniform()),
+                "keypoints": xyc.reshape(-1).tolist(),
+                "embedding": rng.normal(0.0, 10.0, FEATURE_DIM).tolist(),
+            }
+        )
+    records.sort(key=lambda r: (r["camera"], r["frame"]))
+    return records
+
+
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default", "chunk1", "chunk3"])
+def chunk(request, monkeypatch):
+    """The decode chunk, at its own value or patched to 1 and 3."""
+    if request.param is not None:
+        monkeypatch.setattr(fileio, "DECODE_CHUNK", request.param)
+    return fileio.DECODE_CHUNK
+
+
+class TestDetectionChunks:
+    @pytest.mark.parametrize("count", ["0", "1", "C-1", "C", "C+1", "2C+1"])
+    def test_every_chunk_boundary_parses_bit_for_bit(self, tmp_path, chunk, count):
+        sizes = {"0": 0, "1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1}
+        n = sizes.get(count, 2 * chunk + 1)
+        records = random_records(n)
+        path = tmp_path / "dets.jsonl"
+        write_records(path, records)
+        parsed = parse_detections(path, FEATURE_DIM)
+        assert len(parsed) == n
+        for want, got in zip(records, parsed):
+            assert (got.camera_id, got.frame) == (want["camera"], want["frame"])
+            assert np.array_equal(bits(dataclasses.astuple(got.bbox)), bits(want["bbox"]))
+            assert bits(got.det_confidence) == bits(want["conf"])
+            assert np.array_equal(bits(got.pose.xyc.reshape(-1)), bits(want["keypoints"]))
+            assert np.array_equal(bits(got.embedding), bits(want["embedding"]))
+
+    @pytest.mark.parametrize("where", ["1", "C", "C+1", "last"])
+    @pytest.mark.parametrize(
+        "field,index,value,message",
+        [
+            ("keypoints", 5, 1.5, "keypoint confidences must lie in"),
+            ("keypoints", 3, "0.5", "keypoints and embedding must be JSON numbers"),
+            ("keypoints", 2, None, "keypoints and embedding must be JSON numbers"),
+            ("embedding", 1, "0.5", "keypoints and embedding must be JSON numbers"),
+            ("embedding", 0, None, "keypoints and embedding must be JSON numbers"),
+            ("embedding", 2, {}, "keypoints and embedding must be JSON numbers"),
+            ("bbox", 2, 0.0, "box extent must be positive"),
+            ("conf", None, 1e308 * 10, "invalid JSON"),
+        ],
+    )
+    def test_value_fault_names_its_own_line(
+        self, tmp_path, chunk, where, field, index, value, message
+    ):
+        records = random_records(2 * chunk + 1)
+        line = {"1": 1, "C": chunk, "C+1": chunk + 1, "last": len(records)}[where]
+        bad = records[line - 1]
+        if index is None:
+            bad[field] = value
+        else:
+            bad[field][index] = value
+        path = tmp_path / "bad.jsonl"
+        write_records(path, records)
+        with pytest.raises(ParseError, match=f"line {line}: {message}"):
+            parse_detections(path, FEATURE_DIM)
+
+    def test_earlier_value_fault_comes_before_a_later_line_fault(self, tmp_path, chunk):
+        records = random_records(3)
+        records[1]["keypoints"][2] = 2.0
+        path = tmp_path / "bad.jsonl"
+        write_records(path, records[:2])
+        with open(path, "a") as fh:
+            fh.write("not json\n")
+        with pytest.raises(ParseError, match="line 2: keypoint confidences must lie in"):
+            parse_detections(path, FEATURE_DIM)
+
+    @pytest.mark.parametrize("nested", [[[0.5]] * 51, [[0.5, 0.5, 0.5]] * 17 + [[]] * 34])
+    def test_nested_keypoints_name_line(self, tmp_path, chunk, nested):
+        # 51 one-element lists stack to as many numbers as 17 x 3 keypoints.
+        path = tmp_path / "bad.jsonl"
+        write_records(path, [GOOD_RECORD, dict(GOOD_RECORD, keypoints=nested)])
+        with pytest.raises(ParseError, match="line 2: "):
+            parse_detections(path)
+
+    def test_true_and_false_read_as_one_and_zero(self, tmp_path):
+        # NumPy promotes booleans among numbers; refusing them would take a
+        # check of every value.
+        record = dict(GOOD_RECORD, keypoints=[True, False, True] * NUM_KEYPOINTS)
+        path = tmp_path / "bools.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (det,) = parse_detections(path)
+        assert det.pose.xyc.dtype == np.float64
+        assert det.pose.xyc.tolist() == [[1.0, 0.0, 1.0]] * NUM_KEYPOINTS
+
+    def test_integer_values_round_as_float_does(self, tmp_path, chunk):
+        # An all-integer stack is int64 or uint64 and is cast to float64;
+        # a mixed one promotes each value. Each must round as float() does.
+        values = [2**53 + 1, 2**63 - 1, 2**63 + 1025, 2**64 - 1, 2**62 + 3]
+        records = []
+        for i, value in enumerate(values):
+            records.append(
+                dict(
+                    GOOD_RECORD,
+                    frame=i,
+                    keypoints=[0] * fileio.KEYPOINT_FLOATS,
+                    embedding=[value - k for k in range(128)],
+                )
+            )
+        path = tmp_path / "ints.jsonl"
+        write_records(path, records)
+        for det, record in zip(parse_detections(path), records):
+            assert np.array_equal(
+                bits(det.embedding), bits([float(v) for v in record["embedding"]])
+            )
 
 
 class TestTrackRowFile:
