@@ -9,6 +9,10 @@ detections; an invalid detection changes nothing. The paper's fifth part,
 the embedding of an occluded detection from the previous frame, is read
 from the tracklet's history by the matching code.
 
+A feature whose cluster set is ``None`` keeps none, and every fold passes
+the ``None`` on. Cross-camera trajectories are folded that way, because
+linking reads only the averaged feature and the orientation slots.
+
 A ``History`` holds the matched detections of a tracklet or a trajectory
 with their fused feature, and joins two histories that do not overlap in
 time by folding the later detections onto the earlier feature.
@@ -45,8 +49,13 @@ class MeanSlot:
     count: int
 
     def fold(self, feature: np.ndarray) -> "MeanSlot":
-        new_mean = (self.mean * self.count + feature) / (self.count + 1)
-        return MeanSlot(new_mean, self.count + 1)
+        """``(mean * count + feature) / (count + 1)``, the same IEEE
+        operations, in place on the fresh product: NumPy takes the count as
+        a float64 either way, and neither input is written."""
+        m = self.mean * float(self.count)
+        m += feature
+        m /= float(self.count + 1)
+        return MeanSlot(m, self.count + 1)
 
 
 def _fold(slot: Optional[MeanSlot], feature: np.ndarray) -> MeanSlot:
@@ -56,13 +65,15 @@ def _fold(slot: Optional[MeanSlot], feature: np.ndarray) -> MeanSlot:
 
 @dataclass(frozen=True)
 class FusedTrackingFeature:
-    """Full appearance state of one tracklet."""
+    """Appearance state of one tracklet, or of one cross-camera
+    trajectory, which keeps no cluster set."""
 
     current: Optional[np.ndarray] = None
     # One slot per orientation, indexed by ``Orientation.value``.
     orientation_bank: tuple[Optional[MeanSlot], ...] = (None, None, None, None)
-    # At most ``n_c`` clusters, in the order they were opened.
-    cluster_set: tuple[MeanSlot, ...] = ()
+    # At most ``n_c`` clusters, in the order they were opened; ``None``
+    # when no cluster set is kept.
+    cluster_set: Optional[tuple[MeanSlot, ...]] = ()
     avg: Optional[MeanSlot] = None
 
 
@@ -96,18 +107,19 @@ def update_on_match(F: FusedTrackingFeature, det, cfg: TrackerConfig) -> FusedTr
     ``embedding``, ``occlusion`` and ``orientation`` attributes. An invalid
     detection leaves ``F`` unchanged. A valid one's embedding is copied
     once; the parts of the new feature share that copy, which is safe
-    because no update writes into an array.
+    because no update writes into an array it did not make. A feature that
+    keeps no cluster set (``cluster_set`` is ``None``) gets none.
     """
     if det.occlusion is None or det.orientation is None:
         raise ValueError("detection state must be populated before feature updates")
     if det.occlusion is OcclusionStatus.INVALID:
         return F
     emb = np.array(det.embedding, dtype=np.float64)
-    bank, o = F.orientation_bank, det.orientation.value
+    bank, o, clusters = F.orientation_bank, det.orientation.value, F.cluster_set
     return FusedTrackingFeature(
         current=emb,
         orientation_bank=bank[:o] + (_fold(bank[o], emb),) + bank[o + 1 :],
-        cluster_set=update_cluster(F.cluster_set, emb, cfg.n_c),
+        cluster_set=None if clusters is None else update_cluster(clusters, emb, cfg.n_c),
         avg=_fold(F.avg, emb),
     )
 
@@ -116,7 +128,8 @@ def replay_feature(
     observations, cfg: TrackerConfig, start: Optional[FusedTrackingFeature] = None
 ) -> FusedTrackingFeature:
     """Rebuild a fused feature by folding observations in time order onto
-    ``start`` (default: the empty feature).
+    ``start`` (default: the empty feature; ``FusedTrackingFeature(
+    cluster_set=None)`` replays every part but the cluster set).
 
     This is the reference composition for merged histories: the online
     clustering is order-dependent, so replay is the only well-defined way

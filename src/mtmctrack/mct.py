@@ -3,7 +3,8 @@
 A trajectory is the ``History`` of one identity's detections, from one
 camera or several, with the single-camera tracks it was joined from.
 Trajectories are compared with the same appearance distance as tracklet
-clustering and linked greedily. A link is ``History.absorb``, the join a
+clustering, which reads the averaged feature and the orientation slots
+only, and linked greedily. A link is ``History.absorb``, the join a
 tracklet merge uses: linked trajectories never overlap in time, so the
 later one's detections are folded onto the earlier one's fused feature,
 which equals replaying their union. The merged trajectory's row and column
@@ -29,7 +30,8 @@ logger = logging.getLogger(__name__)
 class Trajectory(History):
     """A merged identity, possibly spanning cameras: the ``History`` of its
     detections over every camera, and ``sources``, the (camera, single-camera
-    track id) pairs it was joined from."""
+    track id) pairs it was joined from. Its ``fused`` keeps no cluster set
+    when ``trajectories_from_rows`` builds it, since no link reads one."""
 
     sources: list[tuple[int, int]]
 
@@ -63,10 +65,12 @@ def build_mct_matrix(trajs: list[Trajectory], cfg: TrackerConfig) -> np.ndarray:
 def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajectory]:
     """Greedily link trajectories across cameras below ``theta_mct``.
 
-    Each trajectory's ``fused`` must be the replay of its observations, as
-    ``trajectories_from_rows`` builds it. The cheapest pair is joined by
-    ``History.absorb``, which keeps that so, and the merged distances to
-    every survivor recomputed before the next pick.
+    Each trajectory's ``fused`` must be the replay of its observations,
+    with or without a cluster set; ``trajectories_from_rows`` builds it
+    without. The cheapest pair is joined by ``History.absorb``, which keeps
+    that so, and the merged distances to every survivor recomputed before
+    the next pick. No distance reads a cluster set, so the links do not
+    depend on whether one is kept.
     The survivors are returned in order of first frame, camera and source
     id, the order ``run_mct`` numbers them in.
     """

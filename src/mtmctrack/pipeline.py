@@ -22,7 +22,7 @@ from .fileio import (
     write_track_rows,
 )
 from .mct import Trajectory, run_mct
-from .features import replay_feature
+from .features import FusedTrackingFeature, replay_feature
 from .sct import run_sct
 from .state_estimation import OrientationEstimator, populate_state
 from .synth import ScenarioSpec, generate_scenario, scenario_presets
@@ -87,7 +87,11 @@ def trajectories_from_rows(
     estimator: Optional[OrientationEstimator] = None,
 ) -> list[Trajectory]:
     """Rebuild per-camera trajectories from row files plus the original
-    detections (the rows alone carry no appearance)."""
+    detections (the rows alone carry no appearance).
+
+    Each trajectory's feature is the replay of its detections without a
+    cluster set: cross-camera linking reads only the averaged feature and
+    the orientation slots, and every link carries the ``None`` on."""
     populate_state(dets, cfg, estimator)
     lookup: dict[tuple, DetectionObservation] = {}
     for det in dets:
@@ -117,7 +121,7 @@ def trajectories_from_rows(
         trajs.append(
             Trajectory(
                 observations=obs,
-                fused=replay_feature(obs, cfg),
+                fused=replay_feature(obs, cfg, FusedTrackingFeature(cluster_set=None)),
                 sources=[(cam, ident)],
             )
         )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtmctrack.core import (
     BBox,
@@ -98,6 +99,47 @@ def absorbing_index(before, after) -> int:
 
 def norm_argmin(clusters, feature) -> int:
     return int(np.argmin([np.linalg.norm(c.mean - feature) for c in clusters]))
+
+
+# Finite doubles: hypothesis draws -0.0, subnormals and magnitudes near the
+# largest double among them.
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+class TestMeanSlot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, n, elements=DOUBLES), arrays(np.float64, n, elements=DOUBLES)
+            )
+        ),
+        count=st.integers(1, 2**40),
+    )
+    @example(pair=(np.array([-0.0, 5e-324, 1e300]), np.array([-0.0, -5e-324, 1e300])), count=1)
+    @example(pair=(np.array([0.0, -0.0, 2.2e-308]), np.array([-0.0, -0.0, -1e-310])), count=2**40)
+    @example(pair=(np.array([1e300, -1.7e308]), np.array([-1e300, 1.7e308])), count=2**40 - 1)
+    def test_fold_is_the_running_mean_formula_byte_for_byte(self, pair, count):
+        mean, x = pair
+        # A mean near 1e300 times a large count overflows, the same way in both.
+        with np.errstate(all="ignore"):
+            expected = (mean * count + x) / (count + 1)
+            got = MeanSlot(mean, count).fold(x)
+        assert got.count == count + 1
+        assert got.mean.dtype == expected.dtype
+        assert got.mean.tobytes() == expected.tobytes()
+
+    def test_read_only_inputs_fold_and_come_back_unchanged(self):
+        mean, x = vec(1.0, -0.0, 3.0), vec(5.0, 2.0, -1.0)
+        mean.flags.writeable = False
+        x.flags.writeable = False
+        before = (mean.tobytes(), x.tobytes())
+        slot = MeanSlot(mean, 3)
+        got = slot.fold(x)
+        assert (mean.tobytes(), x.tobytes()) == before
+        assert slot.mean is mean and slot.count == 3
+        assert not np.shares_memory(got.mean, mean) and not np.shares_memory(got.mean, x)
+        assert got.mean.tobytes() == ((mean * 3 + x) / 4).tobytes()
 
 
 class TestUpdateCluster:

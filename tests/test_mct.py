@@ -12,7 +12,7 @@ from mtmctrack.core import (
     TrackRow,
     TrackerConfig,
 )
-from mtmctrack.features import MeanSlot, replay_feature
+from mtmctrack.features import FusedTrackingFeature, MeanSlot, replay_feature
 from mtmctrack.mct import Trajectory, associate_mct, build_mct_matrix, run_mct
 
 CFG = TrackerConfig(feature_dim=8)
@@ -331,7 +331,59 @@ class TestStateAndFilePathsAgree:
                 assert np.array_equal(o_got.embedding, o_live.embedding)
 
 
+@pytest.fixture(scope="module")
+def handoff():
+    """The ``two_camera_handoff`` preset tracked offline, camera by camera:
+    the config, the rows and the detections they were made from."""
+    from mtmctrack.sct import run_sct
+    from mtmctrack.synth import generate_scenario, scenario_presets
+
+    cfg = TrackerConfig()
+    dets = generate_scenario(scenario_presets()["two_camera_handoff"]).detections
+    rows = []
+    for cam in sorted({d.camera_id for d in dets}):
+        cam_rows, _ = run_sct([d for d in dets if d.camera_id == cam], cfg, camera_id=cam, offline=True)
+        rows.extend(cam_rows)
+    return cfg, rows, dets
+
+
+# A fused feature without its cluster set: what cross-camera linking reads.
+def linked_parts(F):
+    return (F.current, F.orientation_bank, F.avg)
+
+
 class TestTrajectoriesFromRows:
+    def test_trajectories_keep_what_linking_reads(self, handoff, feature_leaves):
+        from mtmctrack.pipeline import trajectories_from_rows
+
+        cfg, rows, dets = handoff
+        trajs = trajectories_from_rows(rows, dets, cfg)
+        assert len(trajs) > 2
+        for t in trajs:
+            assert t.fused.cluster_set is None
+            full = replay_feature(t.observations, cfg)
+            assert full.cluster_set
+            assert feature_leaves(linked_parts(t.fused)) == feature_leaves(linked_parts(full))
+
+    def test_linking_reads_no_cluster(self, handoff):
+        """``run_mct`` gives the same rows whether the trajectories carry
+        full or cluster-less features, and it does link some."""
+        from mtmctrack.pipeline import trajectories_from_rows
+
+        cfg, rows, dets = handoff
+        bare = trajectories_from_rows(rows, dets, cfg)
+        full = [
+            Trajectory(
+                observations=list(t.observations),
+                fused=replay_feature(t.observations, cfg),
+                sources=list(t.sources),
+            )
+            for t in trajectories_from_rows(rows, dets, cfg)
+        ]
+        bare_rows = run_mct(bare, cfg)
+        assert bare_rows == run_mct(full, cfg)
+        assert len({r.identity for r in bare_rows}) < len(bare)
+
     @pytest.mark.parametrize("second_x", [100.0, 150.0])
     def test_repeated_identity_in_one_frame_rejected(self, second_x):
         from mtmctrack.pipeline import trajectories_from_rows
@@ -341,6 +393,38 @@ class TestTrajectoriesFromRows:
         rows.append(TrackRow(0, 1, 7, BBox(second_x, 100.0, 40.0, 80.0)))
         with pytest.raises(ValueError, match=r"repeat \(camera 0, frame 1, id 7\)"):
             trajectories_from_rows(rows, dets, CFG)
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.booleans(),  # valid
+        st.sampled_from(list(Orientation)),
+        st.integers(1, 3),  # frame gap
+        st.integers(0, 3),  # appearance
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def records_from_steps(steps):
+    """One camera's detections, one per step, in increasing frames."""
+    frame, records = 0, []
+    for valid, orientation, gap, a in steps:
+        frame += gap
+        records.append(
+            DetectionObservation(
+                camera_id=0,
+                frame=frame,
+                bbox=BBox(100.0, 100.0, 40.0, 80.0),
+                det_confidence=0.9,
+                pose=POSE,
+                occlusion=OcclusionStatus.VALID if valid else OcclusionStatus.INVALID,
+                orientation=orientation,
+                embedding=vec(float(a), 0.1 * frame),
+            )
+        )
+    return records
 
 
 class TestMergedFeature:
@@ -366,38 +450,24 @@ class TestMergedFeature:
         assert feature_leaves(merged.fused) == feature_leaves(expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        steps=st.lists(
-            st.tuples(
-                st.booleans(),  # valid
-                st.sampled_from(list(Orientation)),
-                st.integers(1, 3),  # frame gap
-                st.integers(0, 3),  # appearance
-            ),
-            min_size=1,
-            max_size=25,
-        ),
-        cut=st.integers(0, 25),
-    )
+    @given(steps=STEPS, cut=st.integers(0, 25))
     def test_fold_onto_earlier_feature_equals_replay_of_union(self, feature_leaves, steps, cut):
-        frame, records = 0, []
-        for valid, orientation, gap, a in steps:
-            frame += gap
-            records.append(
-                DetectionObservation(
-                    camera_id=0,
-                    frame=frame,
-                    bbox=BBox(100.0, 100.0, 40.0, 80.0),
-                    det_confidence=0.9,
-                    pose=POSE,
-                    occlusion=OcclusionStatus.VALID if valid else OcclusionStatus.INVALID,
-                    orientation=orientation,
-                    embedding=vec(float(a), 0.1 * frame),
-                )
-            )
+        records = records_from_steps(steps)
         earlier, later = records[:cut], records[cut:]
         folded = replay_feature(later, CFG, replay_feature(earlier, CFG))
         assert feature_leaves(folded) == feature_leaves(replay_feature(records, CFG))
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=STEPS, cut=st.integers(0, 25))
+    def test_fold_onto_cluster_less_feature_equals_cluster_less_replay_of_union(
+        self, feature_leaves, steps, cut
+    ):
+        records = records_from_steps(steps)
+        earlier, later = records[:cut], records[cut:]
+        bare = FusedTrackingFeature(cluster_set=None)
+        folded = replay_feature(later, CFG, replay_feature(earlier, CFG, bare))
+        assert folded.cluster_set is None
+        assert feature_leaves(folded) == feature_leaves(replay_feature(records, CFG, bare))
 
     def test_link_folds_only_the_later_trajectory(self, monkeypatch, feature_leaves):
         import mtmctrack.features as features_module
