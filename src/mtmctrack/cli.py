@@ -7,13 +7,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import TrackerConfig
 from .fileio import (
     ParseError,
     config_as_text,
     find_track_files,
     load_config,
     parse_detections,
+    parse_track_files,
     parse_track_rows,
 )
 from .pipeline import (
@@ -24,7 +24,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .state_estimation import OrientationEstimator, load_mlp_weights
-from .synth import scenario_presets
+from .synth import preset_spec, scenario_presets
 
 logger = logging.getLogger("mtmctrack")
 
@@ -101,29 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--preset", required=True, choices=sorted(scenario_presets()))
     p_pipe.add_argument("--seed", type=int, default=None)
     p_pipe.add_argument(
-        "--offline", action="store_true", default=True, help="offline clustering (default)"
-    )
-    p_pipe.add_argument(
         "--online",
         dest="offline",
         action="store_false",
-        help="cluster every K frames instead",
+        help="cluster every K frames instead of once at sequence end",
     )
     _add_common(p_pipe)
     return parser
-
-
-def _load_pred_rows(path: Path):
-    if path.is_dir():
-        rows = []
-        for cam, f in find_track_files(path).items():
-            rows.extend(parse_track_rows(f, camera_id=cam))
-        return rows
-    return parse_track_rows(path)
-
-
-def _log_config(cfg: TrackerConfig) -> None:
-    logger.info("effective config:\n%s", config_as_text(cfg).rstrip())
 
 
 def main(argv=None) -> int:
@@ -132,52 +116,36 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command in ("sct", "mct", "pipeline"):
+            cfg = load_config(args.config)
+            logger.info("effective config:\n%s", config_as_text(cfg).rstrip())
+            estimator = _estimator_from_arg(args.orientation)
+        report = None
         if args.command == "synth":
-            presets = scenario_presets()
-            spec = presets[args.preset]
-            if args.seed is not None:
-                spec.seed = args.seed
-            det_path, gt_path = run_synth_stage(spec, args.out)
+            det_path, gt_path = run_synth_stage(preset_spec(args.preset, args.seed), args.out)
             logger.info("wrote %s and %s", det_path, gt_path)
         elif args.command == "sct":
-            cfg = load_config(args.config)
-            _log_config(cfg)
-            estimator = _estimator_from_arg(args.orientation)
             dets = parse_detections(args.dets, cfg.feature_dim)
             run_sct_stage(dets, cfg, args.out, args.offline, estimator)
         elif args.command == "mct":
             track_files = find_track_files(args.tracks)
-            cfg = load_config(args.config)
-            _log_config(cfg)
-            estimator = _estimator_from_arg(args.orientation)
             dets = parse_detections(args.dets, cfg.feature_dim)
             run_mct_stage(track_files, dets, cfg, args.out, estimator)
         elif args.command == "eval":
             gt_rows = parse_track_rows(args.gt)
-            pred_rows = _load_pred_rows(args.pred)
+            if args.pred.is_dir():
+                pred_rows = parse_track_files(find_track_files(args.pred))
+            else:
+                pred_rows = parse_track_rows(args.pred)
             report = run_eval_stage(gt_rows, pred_rows, args.out, args.iou)
-            print(
-                " ".join(f"{k}={report[k]}" for k in ("idf1", "idp", "idr", "mota", "ids"))
-            )
-        elif args.command == "pipeline":
-            cfg = load_config(args.config)
-            _log_config(cfg)
+        else:  # pipeline
             report = run_pipeline(
-                args.preset,
-                args.out,
-                cfg=cfg,
-                seed=args.seed,
-                offline=args.offline,
-                estimator=_estimator_from_arg(args.orientation),
+                args.preset, args.out, cfg, seed=args.seed, offline=args.offline, estimator=estimator
             )
-            print(
-                " ".join(f"{k}={report[k]}" for k in ("idf1", "idp", "idr", "mota", "ids"))
-            )
-        else:  # pragma: no cover - argparse enforces choices
-            parser.error(f"unknown command {args.command!r}")
+        if report is not None:
+            print(" ".join(f"{k}={report[k]}" for k in ("idf1", "idp", "idr", "mota", "ids")))
     except (OSError, ParseError, ValueError) as exc:
         logger.error("%s", exc)
         return 1

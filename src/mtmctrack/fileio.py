@@ -281,9 +281,10 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
     """Read either CSV flavor.
 
     7-column rows carry their camera; 10-column MOT rows need ``camera_id``
-    from the caller (usually derived from the file name). A ``_`` anywhere
-    in a row is an error: ``int()`` and ``float()`` would read it as a
-    digit separator.
+    from the caller (usually derived from the file name). Given
+    ``camera_id``, a 7-column row of another camera is an error. A ``_``
+    anywhere in a row is an error: ``int()`` and ``float()`` would read it
+    as a digit separator.
     """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
@@ -298,6 +299,11 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
                 if len(parts) == 7:
                     cam, frame, ident, x, y, w, h = parts
                     cam = int(cam)
+                    if camera_id is not None and cam != camera_id:
+                        raise ParseError(
+                            f"{path}: line {lineno}: row of camera {cam} in a "
+                            f"file of camera {camera_id}"
+                        )
                 elif len(parts) == 10:
                     if camera_id is None:
                         raise ParseError(
@@ -324,6 +330,12 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return rows
+
+
+def parse_track_files(files: dict[int, Path]) -> list[TrackRow]:
+    """The rows of per-camera track files, ``{camera: path}`` as
+    ``find_track_files`` gives them, in camera order."""
+    return [row for cam in sorted(files) for row in parse_track_rows(files[cam], camera_id=cam)]
 
 
 def load_config(path: Optional[PathLike] = None) -> TrackerConfig:

@@ -81,12 +81,11 @@ def associate_mct(trajs: list[Trajectory], cfg: TrackerConfig) -> list[Trajector
     m = build_mct_matrix(trajs, cfg)
     alive = [True] * n
     while True:
-        flat = int(np.argmin(m))
-        i, j = divmod(flat, n)
+        # m is symmetric, and argmin returns the first minimum in row-major
+        # order, its upper-triangle copy: i < j.
+        i, j = divmod(int(np.argmin(m)), n)
         if not np.isfinite(m[i, j]) or m[i, j] > cfg.theta_mct:
             break
-        if i > j:
-            i, j = j, i
         dst, src = trajs[i], trajs[j]
         logger.debug("linked trajectory %s into %s", src.sources, dst.sources)
         dst.absorb(src, cfg)

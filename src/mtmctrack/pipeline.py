@@ -15,6 +15,7 @@ from .core import DetectionObservation, TrackRow, TrackerConfig
 from .evaluation import clear_metrics, id_measures
 from .fileio import (
     parse_detections,
+    parse_track_files,
     parse_track_rows,
     track_file_name,
     write_detections,
@@ -25,7 +26,7 @@ from .mct import Trajectory, run_mct
 from .features import FusedTrackingFeature, replay_feature
 from .sct import run_sct
 from .state_estimation import OrientationEstimator, populate_state
-from .synth import ScenarioSpec, generate_scenario, scenario_presets
+from .synth import ScenarioSpec, generate_scenario, preset_spec
 
 logger = logging.getLogger(__name__)
 
@@ -91,21 +92,26 @@ def trajectories_from_rows(
 
     Each trajectory's feature is the replay of its detections without a
     cluster set: cross-camera linking reads only the averaged feature and
-    the orientation slots, and every link carries the ``None`` on."""
+    the orientation slots, and every link carries the ``None`` on.
+
+    A row must name exactly one detection by its camera, frame and box."""
     populate_state(dets, cfg, estimator)
     lookup: dict[tuple, DetectionObservation] = {}
+    shared: set[tuple] = set()
     for det in dets:
         key = (det.camera_id, det.frame, det.bbox.x, det.bbox.y, det.bbox.w, det.bbox.h)
-        lookup.setdefault(key, det)
+        if lookup.setdefault(key, det) is not det:
+            shared.add(key)
 
     grouped: dict[tuple[int, int], list[DetectionObservation]] = {}
     for row in sorted(rows, key=lambda r: r.sort_key()):
         key = (row.camera_id, row.frame, row.bbox.x, row.bbox.y, row.bbox.w, row.bbox.h)
         det = lookup.get(key)
-        if det is None:
+        if det is None or key in shared:
+            problem = "has no matching" if det is None else "matches more than one"
             raise ValueError(
                 f"track row (camera {row.camera_id}, frame {row.frame}, "
-                f"id {row.identity}) has no matching detection"
+                f"id {row.identity}) {problem} detection"
             )
         group = grouped.setdefault((row.camera_id, row.identity), [])
         if group and group[-1].frame == row.frame:
@@ -136,10 +142,7 @@ def run_mct_stage(
     estimator: Optional[OrientationEstimator] = None,
 ) -> Path:
     """Cross-camera association over per-camera row files."""
-    rows: list[TrackRow] = []
-    for cam, path in sorted(track_files.items()):
-        rows.extend(parse_track_rows(path, camera_id=cam))
-    trajs = trajectories_from_rows(rows, dets, cfg, estimator)
+    trajs = trajectories_from_rows(parse_track_files(track_files), dets, cfg, estimator)
     merged_rows = run_mct(trajs, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "tracks_mct.csv"
@@ -195,18 +198,9 @@ def run_pipeline(
     estimator: Optional[OrientationEstimator] = None,
 ) -> dict:
     """synth -> sct -> mct -> eval in one run; returns the metric report."""
-    presets = scenario_presets()
-    if preset not in presets:
-        raise ValueError(
-            f"unknown preset {preset!r}; available: {', '.join(sorted(presets))}"
-        )
-    spec = presets[preset]
-    if seed is not None:
-        spec.seed = seed
     cfg = cfg or TrackerConfig()
     out_dir = Path(out_dir)
-
-    det_path, gt_path = run_synth_stage(spec, out_dir)
+    det_path, gt_path = run_synth_stage(preset_spec(preset, seed), out_dir)
     dets = parse_detections(det_path, cfg.feature_dim)
     track_files = run_sct_stage(dets, cfg, out_dir, offline, estimator)
     mct_path = run_mct_stage(track_files, dets, cfg, out_dir, estimator)

@@ -440,3 +440,17 @@ def scenario_presets() -> dict[str, ScenarioSpec]:
         "occlusion_heavy": heavy,
         "two_camera_handoff": handoff,
     }
+
+
+def preset_spec(name: str, seed: Optional[int] = None) -> ScenarioSpec:
+    """The preset ``name``, reseeded when ``seed`` is given; an unknown name
+    is a ValueError."""
+    presets = scenario_presets()
+    if name not in presets:
+        raise ValueError(
+            f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
+        )
+    spec = presets[name]
+    if seed is not None:
+        spec.seed = seed
+    return spec

@@ -523,6 +523,34 @@ class TestTrackRowFile:
         with pytest.raises(ParseError, match="line 2: '_' is not allowed"):
             parse_track_rows(path, camera_id=camera_id)
 
+    def test_camera_column_row_must_match_camera_id(self, tmp_path):
+        path = tmp_path / "cam0.txt"
+        path.write_text("0,4,7,10,10,20,40\n1,5,7,10,10,20,40\n")
+        with pytest.raises(ParseError, match="line 2: row of camera 1 in a file of camera 0"):
+            parse_track_rows(path, camera_id=0)
+        assert [r.camera_id for r in parse_track_rows(path)] == [0, 1]
+
+    @pytest.mark.parametrize("command", ["mct", "eval"])
+    def test_track_file_row_of_another_camera_returns_error(
+        self, tmp_path, sample_detections, command, caplog
+    ):
+        dets = tmp_path / "dets.jsonl"
+        write_detections(dets, sample_detections)
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        (tracks / "cam0.txt").write_text("1,5,7,10,10,20,40\n")
+        gt = tmp_path / "gt.csv"
+        write_track_rows(gt, [TrackRow(1, 5, 7, BBox(10, 10, 20, 40))], include_camera=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "mct": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
+            "eval": ["eval", "--gt", str(gt), "--pred", str(tracks)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"{tracks / 'cam0.txt'}: line 1: row of camera 1" in caplog.text
+        assert list(out.rglob("*")) == []
+
     def test_mot_rows_need_camera(self, tmp_path):
         path = tmp_path / "cam0.txt"
         write_track_rows(path, [TrackRow(0, 1, 1, BBox(0, 0, 5, 5))])
@@ -873,6 +901,24 @@ class TestCli:
         if fault == "malformed":
             assert f"{weights}: line 2: layer declaration" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, offline", [([], True), (["--online"], False)], ids=["default", "online"]
+    )
+    def test_pipeline_clustering_flag(self, tmp_path, monkeypatch, flags, offline):
+        calls = []
+        report = dict.fromkeys(["idf1", "idp", "idr", "mota", "ids"], 0)
+        monkeypatch.setattr(
+            "mtmctrack.cli.run_pipeline", lambda *a, **kw: calls.append(kw) or report
+        )
+        argv = ["pipeline", "--preset", "easy_single_cam", "--out", str(tmp_path)]
+        assert main(argv + flags) == 0
+        assert [kw["offline"] for kw in calls] == [offline]
+
+    def test_pipeline_offline_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["pipeline", "--preset", "easy_single_cam", "--out", str(tmp_path), "--offline"])
+        assert info.value.code == 2
 
     def test_no_partial_output_on_error(self, tmp_path):
         target = tmp_path / "no_such_dir" / "rows.csv"

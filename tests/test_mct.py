@@ -394,6 +394,17 @@ class TestTrajectoriesFromRows:
         with pytest.raises(ValueError, match=r"repeat \(camera 0, frame 1, id 7\)"):
             trajectories_from_rows(rows, dets, CFG)
 
+    def test_row_matching_two_detections_rejected(self):
+        # Two detections share camera, frame and box; each row would get the
+        # first one's embedding and orientation.
+        from mtmctrack.pipeline import trajectories_from_rows
+
+        dets = [obs(0, emb=vec(1.0)), obs(1, emb=vec(1.0)), obs(1, emb=vec(0.0, 1.0))]
+        rows = [TrackRow(0, 0, 7, dets[0].bbox), TrackRow(0, 1, 7, dets[1].bbox)]
+        rows.append(TrackRow(0, 1, 8, dets[2].bbox))
+        with pytest.raises(ValueError, match=r"camera 0, frame 1, id 7\) matches more than one"):
+            trajectories_from_rows(rows, dets, CFG)
+
 
 STEPS = st.lists(
     st.tuples(
