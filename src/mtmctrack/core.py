@@ -107,7 +107,7 @@ class PoseKeypoints:
         return f"PoseKeypoints({self.xyc.tolist()!r})"
 
 
-@dataclass
+@dataclass(slots=True)
 class BBox:
     """Axis-aligned box: top-left corner plus extent, in pixels."""
 
@@ -141,12 +141,13 @@ def center_distance(a: BBox, b: BBox) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionObservation:
     """One detector output for one frame.
 
     ``embedding`` is coerced by ``as_feature`` on construction, so a
-    detection holds a finite 1-D float64 vector. ``occlusion`` and
+    detection holds a finite 1-D float64 vector; ``from_checked`` takes
+    values whose checks the caller has already made. ``occlusion`` and
     ``orientation`` start as None and are populated by the state estimator
     before any association uses the observation.
     """
@@ -170,6 +171,30 @@ class DetectionObservation:
         ) or not math.isfinite(c):
             raise ValueError(f"det_confidence must be a finite number, got {c!r}")
         self.embedding = as_feature(self.embedding)
+
+    @classmethod
+    def from_checked(
+        cls,
+        camera_id: int,
+        frame: int,
+        bbox: BBox,
+        det_confidence: float,
+        pose: PoseKeypoints,
+        embedding: np.ndarray,
+    ) -> DetectionObservation:
+        """A detection whose confidence is a finite float and whose
+        embedding is a finite 1-D float64 array, as the caller has already
+        checked: the embedding is neither copied nor checked again."""
+        det = cls.__new__(cls)
+        det.camera_id = camera_id
+        det.frame = frame
+        det.bbox = bbox
+        det.det_confidence = det_confidence
+        det.pose = pose
+        det.embedding = embedding
+        det.occlusion = None
+        det.orientation = None
+        return det
 
 
 @dataclass
@@ -281,7 +306,7 @@ def forbidden_matrix(rows: int, cols: int) -> np.ndarray:
     return np.full((rows, cols), FORBIDDEN, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrackRow:
     """One identity-labeled box: the unit of tracker output and ground truth."""
 

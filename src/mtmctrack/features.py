@@ -40,7 +40,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeanSlot:
     """A running mean with its sample count: an orientation slot, a cluster
     (its center is the exact mean of its members) or the overall average."""
@@ -63,7 +63,7 @@ def _fold(slot: Optional[MeanSlot], feature: np.ndarray) -> MeanSlot:
     return MeanSlot(feature, 1) if slot is None else slot.fold(feature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusedTrackingFeature:
     """Appearance state of one tracklet, or of one cross-camera
     trajectory, which keeps no cluster set."""
@@ -145,7 +145,7 @@ def replay_feature(
     return F
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class History:
     """The matched detections of a tracklet or trajectory and ``fused``,
     their replay.

@@ -4,12 +4,15 @@ Detections travel as JSON lines (one object per detection: camera, frame,
 bbox, conf, 51 keypoint floats, embedding). They are written with the
 standard ``json`` module and read back with ``orjson``, whose float
 decoding is correctly rounded, so every value parses to the same double
-``json.loads`` gives. Track rows are CSV: camera N's rows are MOT-shaped
-("frame,id,x,y,w,h,1,-1,-1,-1") in ``cam<N>.txt``, the multi-camera flavor
-prefixes a camera column. A metric report is written as ``report.json`` and
-``report.txt``. All floats are serialized with full round-trip precision
-and every writer goes through a temp file renamed on success, so a failed
-run never leaves partial output.
+``json.loads`` gives. Each line's shape is checked as it is decoded; the
+values of ``DECODE_CHUNK`` records are stacked and checked together, and
+the detections are built from the checked stacks. Track rows are CSV:
+camera N's rows are MOT-shaped ("frame,id,x,y,w,h,1,-1,-1,-1") in
+``cam<N>.txt``, the multi-camera flavor prefixes a camera column. A
+metric report is written as ``report.json`` and ``report.txt``. All floats
+are serialized with full round-trip precision and every writer goes
+through a temp file renamed on success, so a failed run never leaves
+partial output.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ NUMBER_KINDS = "biuf"
 # few dozen records, while a chunk's decoded lists (about 4.5 KiB a record)
 # add to peak memory until they are stacked.
 DECODE_CHUNK = 64
+# Bytes read from a detection file at a time. A record is about 3.7 KB, so
+# the default 8 KiB buffer splits every second or third line, while this
+# one holds about seventy records.
+READ_BUFFER = 256 * 1024
 
 
 class ParseError(ValueError):
@@ -120,19 +127,21 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
     """Read a detection file; records are sorted by (camera, frame) stably.
 
     Each line must be ASCII JSON without ``NaN``/``Infinity`` tokens, with
-    integer ``camera`` and ``frame`` and numbers for everything else
-    (``true`` and ``false`` among keypoints or embedding read as 1 and 0).
-    Occlusion and orientation are left unset: they are derived state, not
-    detector output.
+    integer ``camera`` (not negative) and ``frame`` and numbers for
+    everything else (``true`` and ``false`` among keypoints or embedding
+    read as 1 and 0). Occlusion and orientation are left unset: they are
+    derived state, not detector output.
 
-    Lines are decoded and checked one at a time; their keypoints and
-    embeddings are stacked and checked ``DECODE_CHUNK`` records at a time,
-    and each detection holds row views of its chunk's stacks. A fault names
-    the first faulty line.
+    Each line is decoded and its shape checked as it is read: JSON, field
+    lengths, the types of camera, frame, conf and bbox. Every
+    ``DECODE_CHUNK`` records, the keypoints, embeddings, boxes and
+    confidences are stacked and their values checked once per chunk (see
+    ``_build_chunk``); each detection holds row views of its chunk's pose
+    and embedding stacks. A fault names the first faulty line.
     """
     dets = []
     chunk: list[tuple] = []
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=READ_BUFFER) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -153,7 +162,8 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
 
 def _decode_record(path: PathLike, lineno: int, line: bytes, feature_dim: int) -> tuple:
     """One line's checks: ASCII, JSON, the lengths of keypoints, embedding
-    and bbox, number types of conf and bbox, integer camera and frame.
+    and bbox, number types of conf and bbox, integer camera and frame, and a
+    camera that is not negative.
     Returns ``(lineno, camera, frame, bbox, conf, keypoints, embedding)``
     with the two lists as decoded."""
     if not line.isascii():
@@ -197,6 +207,11 @@ def _decode_record(path: PathLike, lineno: int, line: bytes, feature_dim: int) -
                 raise ParseError(
                     f"{path}: line {lineno}: {key} must be an integer, got {value!r}"
                 )
+        # Track files are named cam<N>.txt, N a decimal number.
+        if camera < 0:
+            raise ParseError(
+                f"{path}: line {lineno}: camera must not be negative, got {camera}"
+            )
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -205,45 +220,67 @@ def _decode_record(path: PathLike, lineno: int, line: bytes, feature_dim: int) -
 
 
 def _build_chunk(path: PathLike, chunk: list[tuple]) -> list[DetectionObservation]:
-    """The detections of a chunk of decoded records, in order. The keypoints
-    and the embeddings are each stacked by one ``np.array`` call, both stacks
-    are typed, and the keypoint stack is checked by the pose rule once; each
-    detection then checks its box, confidence and embedding. When any check
-    fails, the records are built again one at a time, so the first faulty
-    one raises with its line."""
+    """The detections of a chunk of decoded records, in order.
+
+    The chunk's keypoints, embeddings, boxes and confidences are each
+    stacked by one ``np.array`` call. The stacks' number types, the pose
+    rule, and finite confidences and embeddings are checked once per chunk,
+    and each detection is built by ``DetectionObservation.from_checked`` over
+    its rows; only its box checks itself. The boxes and confidences are cast
+    to float64 in their stacks, which rounds an integer as ``float()`` does.
+    When any check fails, the records are built again one at a time through
+    the checking constructors, so the first faulty one raises with its line
+    and the message it would raise alone."""
     if not chunk:
         return []
-    n = len(chunk)
     try:
-        xyc = np.array([r[5] for r in chunk])
-        emb = np.array([r[6] for r in chunk])
-        if (
-            xyc.dtype.kind not in NUMBER_KINDS
-            or xyc.ndim != 2
-            or emb.dtype.kind not in NUMBER_KINDS
-        ):
-            raise ValueError("keypoints and embedding must be JSON numbers")
-        xyc = xyc.astype(np.float64, copy=False).reshape(n, NUM_KEYPOINTS, 3)
-        check_poses(xyc)
+        xyc, emb = _stack_poses_and_embeddings([r[5] for r in chunk], [r[6] for r in chunk])
+        boxes = np.array([r[3] for r in chunk], dtype=np.float64)
+        conf = np.array([r[4] for r in chunk], dtype=np.float64)
+        if not (emb.ndim == 2 and np.isfinite(conf).all() and np.isfinite(emb).all()):
+            raise ValueError("a confidence or embedding check failed")
         return [
+            DetectionObservation.from_checked(
+                r[1], r[2], BBox(*box), c, PoseKeypoints.from_checked(pose), row
+            )
+            for r, box, c, pose, row in zip(chunk, boxes.tolist(), conf.tolist(), xyc, emb)
+        ]
+    except (TypeError, ValueError):
+        pass
+    for lineno, camera, frame, (x, y, w, h), c, keypoints, embedding in chunk:
+        try:
+            xyc, emb = _stack_poses_and_embeddings([keypoints], [embedding])
             DetectionObservation(
                 camera_id=camera,
                 frame=frame,
                 bbox=BBox(float(x), float(y), float(w), float(h)),
-                det_confidence=float(conf),
-                pose=PoseKeypoints.from_checked(pose),
-                embedding=row,
+                det_confidence=float(c),
+                pose=PoseKeypoints.from_checked(xyc[0]),
+                embedding=emb[0],
             )
-            for (_, camera, frame, (x, y, w, h), conf, _, _), pose, row in zip(
-                chunk, xyc, emb.astype(np.float64, copy=False)
-            )
-        ]
-    except (TypeError, ValueError) as exc:
-        if n == 1:
-            raise ParseError(f"{path}: line {chunk[0][0]}: {exc}") from exc
-    for record in chunk:
-        _build_chunk(path, [record])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     raise AssertionError("a chunk check failed, but no record of the chunk did")
+
+
+def _stack_poses_and_embeddings(
+    keypoints: list[list], embeddings: list[list]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keypoints of n records as an (n, 17, 3) and their embeddings as
+    an (n, ...) float64 stack, each made by one ``np.array`` call without a
+    dtype. Both stacks must have a number dtype kind and the keypoints must
+    be flat; the pose rule is checked over the whole stack."""
+    xyc = np.array(keypoints)
+    emb = np.array(embeddings)
+    if (
+        xyc.dtype.kind not in NUMBER_KINDS
+        or xyc.ndim != 2
+        or emb.dtype.kind not in NUMBER_KINDS
+    ):
+        raise ValueError("keypoints and embedding must be JSON numbers")
+    xyc = xyc.astype(np.float64, copy=False).reshape(len(keypoints), NUM_KEYPOINTS, 3)
+    check_poses(xyc)
+    return xyc, emb.astype(np.float64, copy=False)
 
 
 def write_track_rows(

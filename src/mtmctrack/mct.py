@@ -26,7 +26,7 @@ from .features import History, cluster_distance, physical_constraints_ok
 logger = logging.getLogger(__name__)
 
 
-@dataclass(kw_only=True, eq=False)
+@dataclass(kw_only=True, eq=False, slots=True)
 class Trajectory(History):
     """A merged identity, possibly spanning cameras: the ``History`` of its
     detections over every camera, and ``sources``, the (camera, single-camera

@@ -53,7 +53,7 @@ class TrackingPhase(Enum):
     DISAPPEARED = "disappeared"
 
 
-@dataclass(kw_only=True, eq=False)
+@dataclass(kw_only=True, eq=False, slots=True)
 class Tracklet(History):
     """One identity hypothesis within a single camera: the ``History`` of
     the detections ``step_frame`` matched to it, whose ``fused`` is always

@@ -11,12 +11,16 @@ from mtmctrack.core import (
     BBox,
     DetectionObservation,
     PoseKeypoints,
+    TrackRow,
     TrackerConfig,
     center_distance,
     check_poses,
     iou_aligned,
     squared_distance,
 )
+from mtmctrack.features import FusedTrackingFeature, History, MeanSlot
+from mtmctrack.mct import Trajectory
+from mtmctrack.sct import Tracklet
 
 
 def euclidean(a, b):
@@ -395,3 +399,41 @@ class TestTypes:
         )
         assert det.embedding.dtype == np.float64
         assert det.embedding.tolist() == [1.0, 2.5]
+
+
+def per_detection_values():
+    """One value of each type built once per detection, row or fold."""
+    box = BBox(0, 0, 1, 1)
+    det = DetectionObservation(0, 0, box, 0.5, PoseKeypoints(np.zeros((17, 3))), np.zeros(4))
+    fused = FusedTrackingFeature()
+    return [
+        box,
+        det,
+        TrackRow(0, 0, 1, box),
+        MeanSlot(np.zeros(4), 1),
+        fused,
+        History([det], fused),
+        Tracklet(observations=[det], fused=fused, id=1),
+        Trajectory(observations=[det], fused=fused, sources=[(0, 1)]),
+    ]
+
+
+class TestSlottedValues:
+    @pytest.mark.parametrize("value", per_detection_values(), ids=lambda v: type(v).__name__)
+    def test_keeps_no_instance_dict(self, value):
+        # Slots keep a dict per detection, row and fold out of the parse
+        # and the fold; a subclass without them would bring the dict back.
+        assert not hasattr(value, "__dict__")
+        # object.__setattr__ passes a frozen class's guard and meets the slots.
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "unknown", 1)
+
+    def test_detection_from_checked_matches_the_constructor(self):
+        pose = PoseKeypoints(np.zeros((17, 3)))
+        emb = np.arange(4.0)
+        args = (2, 7, BBox(0, 0, 1, 1), 0.5, pose, emb)
+        built, checked = DetectionObservation(*args), DetectionObservation.from_checked(*args)
+        for f in dataclasses.fields(DetectionObservation):
+            assert getattr(checked, f.name) is getattr(built, f.name), f.name
+        assert checked.embedding is emb
+        assert (checked.occlusion, checked.orientation) == (None, None)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import types
 
 import numpy as np
 import pytest
@@ -277,6 +279,16 @@ class TestDetectionFile:
         with pytest.raises(ParseError, match=f"line 2: {key} must be an integer"):
             parse_detections(path)
 
+    @pytest.mark.parametrize("camera", [-1, -(2**63)])
+    def test_negative_camera_names_line(self, tmp_path, camera):
+        # Its track file would be named cam-1.txt, which mct and eval refuse.
+        path = tmp_path / "bad.jsonl"
+        write_records(path, [GOOD_RECORD, dict(GOOD_RECORD, camera=camera)])
+        with pytest.raises(
+            ParseError, match=f"line 2: camera must not be negative, got {camera}$"
+        ):
+            parse_detections(path)
+
     def test_non_ascii_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         bad = json.dumps(GOOD_RECORD).replace('"conf"', '"conf", "note": "\u00e9"', 1)
@@ -348,7 +360,14 @@ class TestDetectionChunks:
             ("embedding", 1, "0.5", "keypoints and embedding must be JSON numbers"),
             ("embedding", 0, None, "keypoints and embedding must be JSON numbers"),
             ("embedding", 2, {}, "keypoints and embedding must be JSON numbers"),
+            (
+                "embedding",
+                None,
+                [[0.5]] * FEATURE_DIM,
+                re.escape("embedding must be 1-D, got shape (4, 1)"),
+            ),
             ("bbox", 2, 0.0, "box extent must be positive"),
+            ("bbox", 2, -3.5, re.escape("box extent must be positive, got w=-3.5, h=")),
             ("conf", None, 1e308 * 10, "invalid JSON"),
         ],
     )
@@ -365,6 +384,35 @@ class TestDetectionChunks:
         path = tmp_path / "bad.jsonl"
         write_records(path, records)
         with pytest.raises(ParseError, match=f"line {line}: {message}"):
+            parse_detections(path, FEATURE_DIM)
+
+    @pytest.mark.parametrize(
+        "field,index,message",
+        [
+            ("conf", None, "det_confidence must be a finite number, got nan"),
+            ("embedding", 3, "embedding contains non-finite components"),
+            ("bbox", 1, re.escape("box fields must be finite, got (")),
+        ],
+    )
+    def test_non_finite_value_past_the_decoder_names_its_own_line(
+        self, tmp_path, chunk, monkeypatch, field, index, message
+    ):
+        # orjson refuses NaN, so only a decoder that reads it, as the
+        # standard json module does, lets one reach the chunk's checks.
+        monkeypatch.setattr(
+            fileio,
+            "orjson",
+            types.SimpleNamespace(loads=json.loads, JSONDecodeError=json.JSONDecodeError),
+        )
+        records = random_records(2 * chunk + 1)
+        bad = records[chunk]
+        if index is None:
+            bad[field] = float("nan")
+        else:
+            bad[field][index] = float("nan")
+        path = tmp_path / "bad.jsonl"
+        write_records(path, records)
+        with pytest.raises(ParseError, match=f"line {chunk + 1}: {message}"):
             parse_detections(path, FEATURE_DIM)
 
     def test_earlier_value_fault_comes_before_a_later_line_fault(self, tmp_path, chunk):
@@ -397,14 +445,18 @@ class TestDetectionChunks:
 
     def test_integer_values_round_as_float_does(self, tmp_path, chunk):
         # An all-integer stack is int64 or uint64 and is cast to float64;
-        # a mixed one promotes each value. Each must round as float() does.
-        values = [2**53 + 1, 2**63 - 1, 2**63 + 1025, 2**64 - 1, 2**62 + 3]
+        # a mixed one promotes each value. The boxes and confidences are
+        # cast in one float64 array per chunk. Each must round as float()
+        # does, past 2**63 too, where a JSON integer is still an int.
+        values = [2**53 + 1, 2**63 - 1, 2**63 + 1025, 2**64 - 1, 2**62 + 3, 3]
         records = []
         for i, value in enumerate(values):
             records.append(
                 dict(
                     GOOD_RECORD,
                     frame=i,
+                    bbox=[-value, value - 1, value, value - 2 if value > 2 else 1.5],
+                    conf=value if i % 2 else -value,
                     keypoints=[0] * fileio.KEYPOINT_FLOATS,
                     embedding=[value - k for k in range(128)],
                 )
@@ -415,6 +467,11 @@ class TestDetectionChunks:
             assert np.array_equal(
                 bits(det.embedding), bits([float(v) for v in record["embedding"]])
             )
+            assert np.array_equal(
+                bits(dataclasses.astuple(det.bbox)), bits([float(v) for v in record["bbox"]])
+            )
+            assert type(det.det_confidence) is float
+            assert bits(det.det_confidence) == bits(float(record["conf"]))
 
 
 class TestTrackRowFile:
@@ -753,6 +810,16 @@ class TestCli:
             "mct_no_track_files": ["mct", "--tracks", str(tracks), "--dets", str(dets)],
         }[case]
         assert main(argv + ["--out", str(out)]) == 1
+        assert list(out.rglob("*")) == []
+
+    def test_sct_refuses_negative_camera(self, tmp_path, caplog):
+        # cam-1.txt would name no camera that mct and eval can read back.
+        dets = tmp_path / "dets.jsonl"
+        write_records(dets, [dict(GOOD_RECORD, frame=f, camera=-1) for f in range(5)])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sct", "--dets", str(dets), "--out", str(out)]) == 1
+        assert f"{dets}: line 1: camera must not be negative, got -1" in caplog.text
         assert list(out.rglob("*")) == []
 
     def test_mct_repeated_track_row_returns_error(self, tmp_path, sample_detections, caplog):
