@@ -91,7 +91,9 @@ def greedy_associate(matrix: np.ndarray, threshold: float) -> list[tuple[int, in
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     m = np.array(matrix, dtype=np.float64, copy=True)
-    if m.ndim != 2 or m.size == 0:
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
+    if m.size == 0:
         return []
     if np.isnan(m).any():
         raise ValueError("distance matrix contains NaN")

@@ -1,9 +1,12 @@
 """Shared domain types and elementary geometry/metric helpers.
 
 Everything downstream (state estimation, feature fusion, association,
-evaluation) is written against the types in this module. All types are
-plain values: safe to copy between threads, no hidden mutability. Box
-overlap has one formula, ``iou_aligned`` over aligned box arrays.
+evaluation) is written against the types in this module. Not all of them
+are immutable: ``state_estimation.populate_state`` fills a detection's
+``occlusion`` and ``orientation`` in place, and a ``features.History`` holds
+detections by reference and grows as tracking runs. A process that fills
+state in a copy of a detection leaves the original without it. Box overlap
+has one formula, ``iou_aligned`` over aligned box arrays.
 """
 
 from __future__ import annotations

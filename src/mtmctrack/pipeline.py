@@ -8,6 +8,8 @@ with the same seed and config produce byte-identical artifacts.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
 from pathlib import Path
 from typing import Optional
 
@@ -48,20 +50,29 @@ def run_synth_stage(spec: ScenarioSpec, out_dir: Path) -> tuple[Path, Path]:
     return det_path, gt_path
 
 
-def run_sct_stage(
-    dets: list[DetectionObservation],
-    cfg: TrackerConfig,
-    out_dir: Path,
-    offline: bool,
-    estimator: Optional[OrientationEstimator] = None,
-) -> dict[int, Path]:
-    """Track each camera independently and write one MOT file per camera."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_camera: dict[int, list[DetectionObservation]] = {}
-    for det in dets:
-        by_camera.setdefault(det.camera_id, []).append(det)
-    outputs = {}
-    for cam in sorted(by_camera):
+def _usable_cpus() -> int:
+    # sched_getaffinity is Linux's; elsewhere the stage runs in-process.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _camera_groups(by_camera: dict[int, list], count: int) -> list[list[int]]:
+    """``count`` groups of cameras balanced by detection count: largest
+    camera first, into the least-loaded group (the first of equals), ties
+    between cameras broken by camera id."""
+    groups: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for cam in sorted(by_camera, key=lambda c: (-len(by_camera[c]), c)):
+        g = loads.index(min(loads))
+        groups[g].append(cam)
+        loads[g] += len(by_camera[cam])
+    return groups
+
+
+def _track_cameras(cams, by_camera, cfg, out_dir, offline, estimator) -> list[tuple]:
+    """Track and write each camera of ``cams``; returns (camera, path, row
+    count, identity count) per camera."""
+    results = []
+    for cam in cams:
         rows, _ = run_sct(
             by_camera[cam],
             cfg,
@@ -71,13 +82,84 @@ def run_sct_stage(
         )
         path = out_dir / track_file_name(cam)
         write_track_rows(path, rows, include_camera=False)
+        results.append((cam, path, len(rows), len({r.identity for r in rows})))
+    return results
+
+
+def _sct_worker(reader, writer, *args) -> None:
+    """A forked worker's body: reply with ``_track_cameras``' results, or
+    with the exception it raised."""
+    # Without the inherited read end, a caller that stops reading breaks
+    # the pipe instead of leaving a large reply blocked.
+    reader.close()
+    try:
+        reply = _track_cameras(*args)
+    except Exception as exc:
+        reply = exc
+    try:
+        writer.send(reply)
+    except BrokenPipeError:
+        pass  # the caller failed on its own cameras and no longer listens
+
+
+def run_sct_stage(
+    dets: list[DetectionObservation],
+    cfg: TrackerConfig,
+    out_dir: Path,
+    offline: bool,
+    estimator: Optional[OrientationEstimator] = None,
+) -> dict[int, Path]:
+    """Track each camera independently and write one MOT file per camera.
+
+    The cameras are split into one group per usable CPU, at most one per
+    camera, balanced by detection count. The calling process tracks the
+    first group; each other group runs in a forked worker process, which
+    inherits the detections and replies with counts only. A worker fills
+    detection state in its own copy, so the caller's detections of its
+    cameras come back without occlusion and orientation;
+    ``trajectories_from_rows`` fills them, with the same result per
+    detection. With one group nothing forks. A worker's exception is raised
+    again here; a worker that dies without replying raises ValueError.
+    Every worker is joined before this returns or raises.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    by_camera: dict[int, list[DetectionObservation]] = {}
+    for det in dets:
+        by_camera.setdefault(det.camera_id, []).append(det)
+    groups = _camera_groups(by_camera, max(1, min(len(by_camera), _usable_cpus())))
+    args = (by_camera, cfg, out_dir, offline, estimator)
+    workers = []
+    try:
+        for cams in groups[1:]:
+            ctx = multiprocessing.get_context("fork")
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_sct_worker, args=(reader, writer, cams, *args))
+            proc.start()
+            writer.close()
+            workers.append((cams, proc, reader))
+        results = _track_cameras(groups[0], *args)
+        for cams, proc, reader in workers:
+            try:
+                reply = reader.recv()
+            except EOFError:
+                proc.join()
+                raise ValueError(
+                    f"sct: worker for cameras {cams} exited with code {proc.exitcode} "
+                    "without a reply"
+                ) from None
+            if isinstance(reply, BaseException):
+                raise reply
+            results.extend(reply)
+    finally:
+        # Every read end first: a later worker inherited the earlier ones.
+        for _, _, reader in workers:
+            reader.close()
+        for _, proc, _ in workers:
+            proc.join()
+    outputs = {}
+    for cam, path, rows, identities in sorted(results):
         outputs[cam] = path
-        logger.info(
-            "sct: camera %d -> %d rows, %d identities",
-            cam,
-            len(rows),
-            len({r.identity for r in rows}),
-        )
+        logger.info("sct: camera %d -> %d rows, %d identities", cam, rows, identities)
     return outputs
 
 

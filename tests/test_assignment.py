@@ -288,6 +288,12 @@ class TestGreedyAssociate:
     def test_forbidden_only_matrix(self):
         assert greedy_associate(np.full((3, 3), FORBIDDEN), 1.0) == []
 
+    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 2, 2), ()])
+    def test_rejects_a_matrix_that_is_not_2d(self, shape):
+        # Refused as hungarian refuses it, not read as an empty matching.
+        with pytest.raises(ValueError, match="matrix must be 2-D"):
+            greedy_associate(np.zeros(shape), 1.0)
+
     def test_rejects_nan(self):
         # A NaN is where argmin lands, so it used to end the loop and drop
         # the cheaper pair (1, 1).
