@@ -2,9 +2,11 @@
 
 The identity measures come from a global truth-to-result matching: every
 ground-truth identity is paired with at most one predicted identity so that
-the total of misses and false positives is minimal, then IDP/IDR/IDF1 are
-read off the matched frame counts. The CLEAR pass matches boxes frame by
-frame with a carry-over preference and counts FP/FN/identity switches.
+the pairs co-locate in as many (camera, frame) keys as possible. That one
+rectangular matching over the n_truth x n_predicted overlap counts also
+leaves the fewest misses and false positives, and IDP/IDR/IDF1 are read off
+its matched counts. The CLEAR pass matches boxes frame by frame with a
+carry-over preference and counts FP/FN/identity switches.
 
 Both metrics read one join on (camera, frame), which owns the row contract
 (one row per identity per camera and frame) and the co-location rule (IoU
@@ -17,7 +19,6 @@ so the chunking changes no overlap.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,48 +142,28 @@ def id_measures(
 ) -> IdMeasureReport:
     """IDF1/IDP/IDR from the optimal global identity matching.
 
-    Boxes co-locate when their IoU reaches the threshold. The bipartite
-    cost of pairing a truth identity with a predicted identity is the
-    misses plus false positives that pairing would leave; dummy partners
-    charge a fully unmatched identity. The minimal-cost pairing is found
-    with the Hungarian solver.
+    Boxes co-locate when their IoU reaches the threshold. ``overlap[g, p]``
+    counts the (camera, frame) keys where truth identity ``g`` and
+    predicted identity ``p`` co-locate, and the one-to-one pairing with the
+    largest total overlap gives IDTP. Every pairing is allowed, so the
+    Hungarian solver pairs min(n_truth, n_pred) identities, and minimising
+    the sum of ``most - overlap`` over them maximises the total overlap.
+    Ties change which identities pair, never IDTP.
     """
-    # counts[(g, p)] = number of (camera, frame) where the two co-locate.
-    counts: Counter[tuple[int, int]] = Counter()
-    for _, g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold):
-        for i, j, _overlap in pairs:
-            counts[g_rows[i].identity, p_rows[j].identity] += 1
-    gt_len = Counter(r.identity for r in gt)
-    pred_len = Counter(r.identity for r in pred)
-    gt_ids = sorted(gt_len)
-    pred_ids = sorted(pred_len)
-    n_g, n_p = len(gt_ids), len(pred_ids)
-    total_gt = len(gt)
-    total_pred = len(pred)
-
-    if n_g == 0 and n_p == 0:
-        return IdMeasureReport(0, 0, 0, 1.0, 1.0, 1.0)
-
-    size = n_g + n_p
-    cost = np.full((size, size), FORBIDDEN)
-    for gi, g in enumerate(gt_ids):
-        for pi, p in enumerate(pred_ids):
-            overlap = counts.get((g, p), 0)
-            cost[gi, pi] = gt_len[g] + pred_len[p] - 2 * overlap
-        # Dummy column: this truth identity stays unmatched (all misses).
-        cost[gi, n_p + gi] = gt_len[g]
-    for pi, p in enumerate(pred_ids):
-        # Dummy row: this predicted identity stays unmatched (all FPs).
-        cost[n_g + pi, pi] = pred_len[p]
-    cost[n_g:, n_p:] = 0.0
-
-    result = hungarian(cost)
-    idtp = 0
-    for r, c in result.matched_pairs:
-        if r < n_g and c < n_p:
-            idtp += counts.get((gt_ids[r], pred_ids[c]), 0)
-    idfn = total_gt - idtp
-    idfp = total_pred - idtp
+    gt_row = {g: k for k, g in enumerate(sorted({r.identity for r in gt}))}
+    pred_col = {p: k for k, p in enumerate(sorted({r.identity for r in pred}))}
+    cells = [
+        gt_row[g_rows[i].identity] * len(pred_col) + pred_col[p_rows[j].identity]
+        for _, g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold)
+        for i, j, _ in pairs
+    ]
+    shape = (len(gt_row), len(pred_col))
+    overlap = np.bincount(np.array(cells, dtype=np.int64), minlength=shape[0] * shape[1])
+    overlap = overlap.reshape(shape)
+    result = hungarian(overlap.max(initial=0) - overlap)
+    idtp = sum(int(overlap[r, c]) for r, c in result.matched_pairs)
+    idfn = len(gt) - idtp
+    idfp = len(pred) - idtp
     return IdMeasureReport(
         idtp=idtp,
         idfp=idfp,
@@ -219,7 +200,8 @@ def clear_metrics(
         penalty = 2.0 * (len(g_rows) + len(p_rows)) + 10.0
         cost = np.full((len(g_rows), len(p_rows)), FORBIDDEN)
         for i, j, overlap in pairs:
-            cost[i, j] = 1.0 - overlap
+            # A box's IoU with itself can round a few ulps above 1.
+            cost[i, j] = max(0.0, 1.0 - overlap)
             if last_pair.get((cam, g_rows[i].identity)) != p_rows[j].identity:
                 cost[i, j] += penalty
         result = hungarian(cost)

@@ -3,9 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import itertools
+import json
 import operator
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,25 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+ANCHORS = Path(__file__).parent / "anchors.json"
+
+
+def _check_anchors(preset: str, out_dir: Path, report: dict) -> None:
+    """The preset's IDF1, MOTA, IDS and output digests equal the ledger's.
+
+    The digests follow floating-point results that go through BLAS, so
+    under another NumPy than the ledger's the check is skipped."""
+    ledger = json.loads(ANCHORS.read_text())
+    if np.__version__ != ledger["numpy"]:
+        pytest.skip(f"anchors were written with NumPy {ledger['numpy']}, this is {np.__version__}")
+    want = ledger["presets"][preset]
+    for metric in ("idf1", "mota", "ids"):
+        assert report[metric] == want[metric], f"{preset}: {metric} {report[metric]} != {want[metric]}"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    for name in sorted(got.keys() | want["sha256"].keys()):
+        assert got.get(name) == want["sha256"].get(name), f"{preset}: {name} differs from {ANCHORS.name}"
 
 
 def test_01_assignment_oracle():
@@ -348,6 +370,7 @@ def test_07_end_to_end_easy(tmp_path):
         ok,
         f"IDF1={report['idf1']:.4f} IDS={report['ids']} {elapsed:.1f}s",
     )
+    _check_anchors("easy_single_cam", tmp_path / "easy", report)
 
 
 def test_08_ablation_direction(tmp_path):
@@ -378,6 +401,7 @@ def test_08_ablation_direction(tmp_path):
         f" (+{100 * gain:.1f}pts), IDS {results['cluster_orientation']['ids']}"
         f"->{results['full']['ids']}",
     )
+    _check_anchors("occlusion_heavy", tmp_path / "full", results["full"])
 
 
 def test_09_cross_camera_links(tmp_path):
@@ -429,6 +453,7 @@ def test_09_cross_camera_links(tmp_path):
         ok,
         f"{linked}/{len(both)} links, {duplicates} overlaps",
     )
+    _check_anchors("two_camera_handoff", out, report)
 
 
 def test_10_pipeline_determinism(tmp_path):

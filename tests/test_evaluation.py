@@ -1,11 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtmctrack import evaluation
 from mtmctrack.core import BBox, TrackRow
 from mtmctrack.evaluation import _colocated, clear_metrics, id_measures
+from mtmctrack.synth import ScenarioSpec, generate_scenario
 
 
 def scalar_iou(a, b):
@@ -156,10 +160,16 @@ class TestIdMeasures:
         assert report.idtp == 0
 
     def test_matches_exhaustive_oracle_on_random_instances(self):
+        # Predicted identities may sit on lanes no truth uses, so some rows
+        # and columns of the overlap counts are zero; every third instance
+        # sets 1-2 identities against up to 7; and either side may be empty.
         rng = np.random.default_rng(51)
-        for _ in range(200):
-            n_g = int(rng.integers(1, 6))
-            n_p = int(rng.integers(1, 6))
+        for trial in range(300):
+            n_g, n_p = (int(rng.integers(0, 6)) for _ in range(2))
+            if trial % 3 == 0:
+                n_g, n_p = int(rng.integers(1, 3)), int(rng.integers(1, 8))
+                if rng.random() < 0.5:
+                    n_g, n_p = n_p, n_g
             frames = int(rng.integers(1, 21))
             gt, pred = [], []
             for g in range(n_g):
@@ -168,7 +178,7 @@ class TestIdMeasures:
                     if rng.random() < 0.8:
                         gt.append(row(f, g + 1, x=0.0, y=lane))
             for p in range(n_p):
-                lane = float(rng.integers(0, n_g)) * 30.0
+                lane = float(rng.integers(0, n_g + 2)) * 30.0
                 for f in range(frames):
                     if rng.random() < 0.8:
                         pred.append(row(f, p + 1, x=0.0, y=lane))
@@ -178,6 +188,21 @@ class TestIdMeasures:
             assert report.idfp == idfp
             assert report.idfn == idfn
             assert report.idf1 == pytest.approx(idf1)
+
+    def test_memory_grows_with_truth_times_predicted_identities(self):
+        # 40 truth identities over 100 frames, each row predicted as an
+        # identity of its own: 4,000 predicted identities. A square matrix
+        # with a dummy partner per identity holds 4,040**2 doubles (125 MiB).
+        gt = [row(f, g, y=30.0 * g) for g in range(40) for f in range(100)]
+        pred = [TrackRow(r.camera_id, r.frame, k, r.bbox) for k, r in enumerate(gt)]
+        tracemalloc.start()
+        try:
+            report = id_measures(gt, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.idtp, report.idfp, report.idfn) == (40, 3960, 3960)
+        assert peak < 64 * 2**20
 
     def test_iou_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -293,6 +318,34 @@ class TestClearMetrics:
         gt, pred = (rows, track(1, range(2))) if side == "gt" else (track(1, range(2)), rows)
         with pytest.raises(ValueError, match="duplicate row for identity 1 at camera 0 frame 1"):
             clear_metrics(gt, pred)
+
+
+class TestScoredAgainstItself:
+    # A box's IoU with itself can round a few ulps above 1, so this also
+    # checks that a perfect box costs nothing rather than less than nothing.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.sampled_from([0.0, 1.5]),
+        cameras=st.integers(1, 2),
+        identities=st.integers(1, 6),
+        frames=st.integers(1, 40),
+    )
+    def test_relabelled_truth_scores_perfect(self, seed, jitter, cameras, identities, frames):
+        spec = ScenarioSpec(
+            num_identities=identities,
+            num_cameras=cameras,
+            frames=frames,
+            bbox_jitter_sigma=jitter,
+            feature_dim=4,
+            seed=seed,
+        )
+        gt = generate_scenario(spec).gt_rows
+        pred = [TrackRow(r.camera_id, r.frame, 1000 - r.identity, r.bbox) for r in gt]
+        ids = id_measures(gt, pred)
+        clear = clear_metrics(gt, pred)
+        assert (ids.idf1, ids.idtp, ids.idfp, ids.idfn) == (1.0, len(gt), 0, 0)
+        assert (clear.mota, clear.ids, clear.fp, clear.fn) == (1.0, 0, 0, 0)
 
 
 def random_keys(rng, n_keys):

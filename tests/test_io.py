@@ -27,7 +27,7 @@ from mtmctrack.fileio import (
     write_detections,
     write_track_rows,
 )
-from mtmctrack.synth import generate_scenario, scenario_presets
+from mtmctrack.synth import ScenarioSpec, generate_scenario, scenario_presets
 
 
 @pytest.fixture(scope="module")
@@ -779,6 +779,15 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "idf1=1.0" in out
+
+    def test_eval_of_drawn_truth_against_itself(self, tmp_path, capsys):
+        # Several of these boxes have an IoU with themselves a few ulps
+        # above 1.
+        gt = tmp_path / "gt.csv"
+        rows = generate_scenario(ScenarioSpec(num_identities=3, frames=30, seed=5)).gt_rows
+        write_track_rows(gt, rows, include_camera=True)
+        assert main(["eval", "--gt", str(gt), "--pred", str(gt)]) == 0
+        assert "idf1=1.0 idp=1.0 idr=1.0 mota=1.0 ids=0" in capsys.readouterr().out
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
