@@ -70,14 +70,14 @@ def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
         raise ValueError("iou_threshold must lie in (0, 1)")
     gt_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
     pred_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
-    for by_key, rows in ((gt_by_key, gt), (pred_by_key, pred)):
+    for by_key, rows, side in ((gt_by_key, gt, "truth"), (pred_by_key, pred, "prediction")):
         for r in rows:
             key = (r.camera_id, r.frame)
             by_id = by_key.setdefault(key, {})
             if r.identity in by_id:
                 raise ValueError(
                     f"duplicate row for identity {r.identity} at camera "
-                    f"{key[0]} frame {key[1]}"
+                    f"{key[0]} frame {key[1]} in the {side}"
                 )
             by_id[r.identity] = r
     chunk = []

@@ -64,6 +64,8 @@ class ParseError(ValueError):
 
 # Python's int() and float() read "3_0" as 30; no file format here has one.
 UNDERSCORE_ERROR = "'_' is not allowed in a number"
+# Every format is ASCII; decoding with surrogateescape leaves it to each line.
+NON_ASCII_ERROR = "non-ASCII bytes"
 
 
 def _atomic_write(path: PathLike, text: str) -> None:
@@ -147,11 +149,11 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
             if not line:
                 continue
             try:
-                chunk.append(_decode_record(path, lineno, line, feature_dim))
-            except ParseError:
+                chunk.append((lineno, *_decode_record(line, feature_dim)))
+            except (KeyError, TypeError, ValueError) as exc:
                 # A value fault on an earlier line of the chunk comes first.
                 _build_chunk(path, chunk)
-                raise
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             if len(chunk) == DECODE_CHUNK:
                 dets += _build_chunk(path, chunk)
                 chunk = []
@@ -160,63 +162,45 @@ def parse_detections(path: PathLike, feature_dim: int = 128) -> list[DetectionOb
     return dets
 
 
-def _decode_record(path: PathLike, lineno: int, line: bytes, feature_dim: int) -> tuple:
+def _decode_record(line: bytes, feature_dim: int) -> tuple:
     """One line's checks: ASCII, JSON, the lengths of keypoints, embedding
     and bbox, number types of conf and bbox, integer camera and frame, and a
-    camera that is not negative.
-    Returns ``(lineno, camera, frame, bbox, conf, keypoints, embedding)``
-    with the two lists as decoded."""
+    camera that is not negative; the caller names the line of a fault.
+    Returns ``(camera, frame, bbox, conf, keypoints, embedding)`` with the
+    two lists as decoded."""
     if not line.isascii():
-        raise ParseError(f"{path}: line {lineno}: non-ASCII bytes")
+        raise ValueError(NON_ASCII_ERROR)
     try:
         record = orjson.loads(line)
     except orjson.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-    try:
-        keypoints = record["keypoints"]
-        if len(keypoints) != KEYPOINT_FLOATS:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {KEYPOINT_FLOATS} keypoint "
-                f"floats, got {len(keypoints)}"
-            )
-        embedding = record["embedding"]
-        if len(embedding) != feature_dim:
-            raise ParseError(
-                f"{path}: line {lineno}: embedding has length "
-                f"{len(embedding)}, expected {feature_dim}"
-            )
-        bbox = record["bbox"]
-        if len(bbox) != 4:
-            raise ParseError(
-                f"{path}: line {lineno}: bbox needs 4 values, got {len(bbox)}"
-            )
-        x, y, w, h = bbox
-        conf = record["conf"]
-        # One set of five types per record; the keypoints and embedding are
-        # typed by their chunk's stacks.
-        if not {type(conf), type(x), type(y), type(w), type(h)} <= JSON_NUMBER:
-            raise ParseError(
-                f"{path}: line {lineno}: conf and bbox must be JSON numbers, "
-                f"got conf {conf!r}, bbox {bbox!r}"
-            )
-        camera, frame = record["camera"], record["frame"]
-        for key, value in (("camera", camera), ("frame", frame)):
-            # bool is an int subclass; a float here may be a rounded
-            # integer too large for 64 bits.
-            if type(value) is not int:
-                raise ParseError(
-                    f"{path}: line {lineno}: {key} must be an integer, got {value!r}"
-                )
-        # Track files are named cam<N>.txt, N a decimal number.
-        if camera < 0:
-            raise ParseError(
-                f"{path}: line {lineno}: camera must not be negative, got {camera}"
-            )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return lineno, camera, frame, bbox, conf, keypoints, embedding
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    keypoints = record["keypoints"]
+    if len(keypoints) != KEYPOINT_FLOATS:
+        raise ValueError(f"expected {KEYPOINT_FLOATS} keypoint floats, got {len(keypoints)}")
+    embedding = record["embedding"]
+    if len(embedding) != feature_dim:
+        raise ValueError(f"embedding has length {len(embedding)}, expected {feature_dim}")
+    bbox = record["bbox"]
+    if len(bbox) != 4:
+        raise ValueError(f"bbox needs 4 values, got {len(bbox)}")
+    x, y, w, h = bbox
+    conf = record["conf"]
+    # One set of five types per record; the keypoints and embedding are
+    # typed by their chunk's stacks.
+    if not {type(conf), type(x), type(y), type(w), type(h)} <= JSON_NUMBER:
+        raise ValueError(
+            f"conf and bbox must be JSON numbers, got conf {conf!r}, bbox {bbox!r}"
+        )
+    camera, frame = record["camera"], record["frame"]
+    for key, value in (("camera", camera), ("frame", frame)):
+        # bool is an int subclass; a float here may be a rounded
+        # integer too large for 64 bits.
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    # Track files are named cam<N>.txt, N a decimal number.
+    if camera < 0:
+        raise ValueError(f"camera must not be negative, got {camera}")
+    return camera, frame, bbox, conf, keypoints, embedding
 
 
 def _build_chunk(path: PathLike, chunk: list[tuple]) -> list[DetectionObservation]:
@@ -324,36 +308,31 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
     as a digit separator.
     """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if "_" in line:
-                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
-            parts = line.split(",")
             try:
+                if not line.isascii():
+                    raise ValueError(NON_ASCII_ERROR)
+                if "_" in line:
+                    raise ValueError(UNDERSCORE_ERROR)
+                parts = line.split(",")
                 if len(parts) == 7:
                     cam, frame, ident, x, y, w, h = parts
                     cam = int(cam)
                     if camera_id is not None and cam != camera_id:
-                        raise ParseError(
-                            f"{path}: line {lineno}: row of camera {cam} in a "
-                            f"file of camera {camera_id}"
+                        raise ValueError(
+                            f"row of camera {cam} in a file of camera {camera_id}"
                         )
                 elif len(parts) == 10:
                     if camera_id is None:
-                        raise ParseError(
-                            f"{path}: line {lineno}: 10-column row needs an "
-                            "explicit camera id"
-                        )
+                        raise ValueError("10-column row needs an explicit camera id")
                     cam = camera_id
                     frame, ident, x, y, w, h = parts[:6]
                 else:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected 7 or 10 columns, "
-                        f"got {len(parts)}"
-                    )
+                    raise ValueError(f"expected 7 or 10 columns, got {len(parts)}")
                 rows.append(
                     TrackRow(
                         cam,
@@ -362,8 +341,6 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[Tr
                         BBox(float(x), float(y), float(w), float(h)),
                     )
                 )
-            except ParseError:
-                raise
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return rows
@@ -390,54 +367,49 @@ def load_config(path: Optional[PathLike] = None) -> TrackerConfig:
     kinds = {f.name: f.type for f in dataclasses.fields(TrackerConfig)}
     values = {}
     first_line = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in kinds:
-                raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
-            if key in first_line:
-                raise ParseError(f"{path}: line {lineno}: {key} repeats line {first_line[key]}")
-            first_line[key] = lineno
-            if "_" in raw:
-                raise ParseError(f"{path}: line {lineno}: {UNDERSCORE_ERROR}")
             try:
-                number = float(raw)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: line {lineno}: non-numeric value {raw!r} for {key}"
-                ) from exc
-            if not math.isfinite(number):
-                raise ParseError(
-                    f"{path}: line {lineno}: {key} must be finite, got {raw!r}"
-                )
-            if kinds[key] == "bool":
-                if number not in (0.0, 1.0):
-                    raise ParseError(
-                        f"{path}: line {lineno}: {key} must be 0 or 1, got {raw!r}"
-                    )
-                values[key] = number == 1.0
-            elif kinds[key] == "int":
-                if number != int(number):
-                    raise ParseError(
-                        f"{path}: line {lineno}: {key} must be an integer"
-                    )
+                # A comment is checked too: every byte of the file is ASCII.
+                if not line.isascii():
+                    raise ValueError(NON_ASCII_ERROR)
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise ValueError("expected 'key = value'")
+                key, _, raw = stripped.partition("=")
+                key = key.strip()
+                raw = raw.strip()
+                if key not in kinds:
+                    raise ValueError(f"unknown key {key!r}")
+                if key in first_line:
+                    raise ValueError(f"{key} repeats line {first_line[key]}")
+                first_line[key] = lineno
+                if "_" in raw:
+                    raise ValueError(UNDERSCORE_ERROR)
                 try:
-                    # Exact past 2**53, where float() rounds.
-                    values[key] = int(raw)
-                except ValueError:
-                    values[key] = int(number)
-            else:
-                values[key] = number
-            # Every field is checked on its own, so a value TrackerConfig
-            # refuses is named with its line.
-            try:
+                    number = float(raw)
+                except ValueError as exc:
+                    raise ValueError(f"non-numeric value {raw!r} for {key}") from exc
+                if not math.isfinite(number):
+                    raise ValueError(f"{key} must be finite, got {raw!r}")
+                if kinds[key] == "bool":
+                    if number not in (0.0, 1.0):
+                        raise ValueError(f"{key} must be 0 or 1, got {raw!r}")
+                    values[key] = number == 1.0
+                elif kinds[key] == "int":
+                    if number != int(number):
+                        raise ValueError(f"{key} must be an integer")
+                    try:
+                        # Exact past 2**53, where float() rounds.
+                        values[key] = int(raw)
+                    except ValueError:
+                        values[key] = int(number)
+                else:
+                    values[key] = number
+                # Every field is checked on its own, so a value TrackerConfig
+                # refuses is named with its line.
                 TrackerConfig(**{key: values[key]})
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc

@@ -25,7 +25,7 @@ from .core import (
     RIGHT_SHOULDER,
     TrackerConfig,
 )
-from .fileio import UNDERSCORE_ERROR, ParseError
+from .fileio import NON_ASCII_ERROR, UNDERSCORE_ERROR, ParseError
 
 # Input layout of the orientation classifier: normalized position and
 # confidence of both shoulders and both hips, then the two ear confidences.
@@ -233,14 +233,16 @@ def load_mlp_weights(path) -> MlpWeights:
 
     Header line "mlp 14 128 64 128 64 4", then per layer one line
     "layer <in> <out>", <out> rows of <in> weights, one row of <out> biases.
-    Shape mismatches are rejected, and so is a ``_`` on any line. Each fault
-    is a ParseError naming its line; a line missing at the end is named as
-    the line after the last.
+    Shape mismatches are rejected, and so is a ``_`` or a non-ASCII byte on
+    any line. Each fault is a ParseError naming its line; a line missing at
+    the end is named as the line after the last.
     """
     lines = []  # (line number, tokens) of every non-blank line
     last = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for last, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(f"{path}: line {last}: {NON_ASCII_ERROR}")
             # float() would read "1_0.5" as 10.5.
             if "_" in line:
                 raise ParseError(f"{path}: line {last}: {UNDERSCORE_ERROR}")

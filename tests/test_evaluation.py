@@ -316,7 +316,9 @@ class TestClearMetrics:
     def test_duplicate_rows_rejected(self, side):
         rows = [row(0, 1), row(1, 1), row(1, 1, x=3.0)]
         gt, pred = (rows, track(1, range(2))) if side == "gt" else (track(1, range(2)), rows)
-        with pytest.raises(ValueError, match="duplicate row for identity 1 at camera 0 frame 1"):
+        named = {"gt": "truth", "pred": "prediction"}[side]
+        message = f"duplicate row for identity 1 at camera 0 frame 1 in the {named}$"
+        with pytest.raises(ValueError, match=message):
             clear_metrics(gt, pred)
 
 

@@ -82,6 +82,42 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+# One line of drawn bytes without a line break: ASCII pieces of the text
+# formats and config keys, non-ASCII characters in UTF-8 and bytes that are
+# not UTF-8.
+ASCII_PIECES = list("0123456789_,=#.-e ") + [f.name for f in dataclasses.fields(TrackerConfig)]
+drawn_line = st.lists(
+    st.one_of(
+        st.sampled_from(ASCII_PIECES).map(str.encode),
+        st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)).map(str.encode),
+        st.integers(0x80, 0xFF).map(lambda b: bytes([b])),
+    ),
+    max_size=20,
+).map(b"".join)
+
+
+def replace_line(path, draw):
+    """Replace a drawn line of the file with a drawn line; returns its
+    number, counted from 1."""
+    lines = path.read_bytes().splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    lines[k] = draw(drawn_line)
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return k + 1
+
+
+def assert_parses_or_names_line(parse, path, lineno, later=False):
+    """``parse(path)`` succeeds or raises a ParseError naming line
+    ``lineno``, or with ``later`` a line at or after it."""
+    try:
+        parse(path)
+    except ParseError as exc:
+        named = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+        assert named, str(exc)
+        n = int(named.group(1))
+        assert n >= lineno if later else n == lineno, str(exc)
+
+
 class TestDetectionFile:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -297,6 +333,18 @@ class TestDetectionFile:
         )
         with pytest.raises(ParseError, match="line 2: non-ASCII"):
             parse_detections(path)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_fault_names_its_line(self, tmp_path, sample_detections, data):
+        path = tmp_path / "dets.jsonl"
+        write_detections(path, sample_detections[:8])
+        lineno = replace_line(path, data.draw)
+        assert_parses_or_names_line(parse_detections, path, lineno)
 
 
 def random_records(count, seed=0):
@@ -565,6 +613,25 @@ class TestTrackRowFile:
         with pytest.raises(ParseError, match="line 2"):
             parse_track_rows(mot, camera_id=0)
 
+    def test_non_ascii_names_line(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_bytes("0,1,2,3,10,10,20\n1,2,3,10,1\u00e90,20,40\n".encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-ASCII bytes$"):
+            parse_track_rows(path)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(include_camera=st.booleans(), data=st.data())
+    def test_every_fault_names_its_line(self, tmp_path, include_camera, data):
+        path = tmp_path / "cam0.txt"
+        rows = [TrackRow(0, f, i, BBox(f, 2.5 * i, 10, 20)) for f in range(4) for i in (1, 2)]
+        write_track_rows(path, rows, include_camera=include_camera)
+        lineno = replace_line(path, data.draw)
+        assert_parses_or_names_line(lambda p: parse_track_rows(p, camera_id=0), path, lineno)
+
     @pytest.mark.parametrize(
         "text, camera_id",
         [
@@ -650,6 +717,28 @@ class TestConfigFile:
         path.write_text(f"mu_m = 5\n# retuned\nmu_d = 200\nmu_m = {second}\n")
         with pytest.raises(ParseError, match="line 4: mu_m repeats line 1"):
             load_config(path)
+
+    @pytest.mark.parametrize("second", ["# caf\u00e9", "mu_d = 2\u00e90"])
+    def test_non_ascii_names_line(self, tmp_path, second):
+        # A comment is refused too: every line of the file must be ASCII.
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(f"mu_m = 5\n{second}\n".encode())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: non-ASCII bytes$"):
+            load_config(path)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_fault_names_its_line(self, tmp_path, data):
+        # A repeated key is named at its later line, so a fault drawn into
+        # line k is named at line k or after it.
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_as_text(TrackerConfig()))
+        lineno = replace_line(path, data.draw)
+        assert_parses_or_names_line(load_config, path, lineno, later=True)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -976,6 +1065,34 @@ class TestCli:
         assert str(weights) in caplog.text
         if fault == "malformed":
             assert f"{weights}: line 2: layer declaration" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sct_config", "sct_weights"])
+    def test_non_ascii_byte_returns_error_naming_its_line(self, tmp_path, caplog, command):
+        from mtmctrack.state_estimation import MlpWeights, save_mlp_weights
+
+        gt = tmp_path / "gt.csv"
+        write_track_rows(gt, [TrackRow(1, 2, 3, BBox(10, 10, 20, 40))], include_camera=True)
+        dets = tmp_path / "d.jsonl"
+        dets.write_text("")
+        if command == "eval":
+            bad, lineno = tmp_path / "pred.csv", 2
+            bad.write_bytes("1,1,3,10,10,20,40\n1,2,3,10,1\u00e90,20,40\n".encode())
+            argv = ["eval", "--gt", str(gt), "--pred", str(bad)]
+        elif command == "sct_config":
+            bad, lineno = tmp_path / "cfg.txt", 2
+            bad.write_bytes("mu_m = 5\n# caf\u00e9\n".encode())
+            argv = ["sct", "--dets", str(dets), "--config", str(bad)]
+        else:
+            bad, lineno = tmp_path / "orientation.weights", 6
+            save_mlp_weights(bad, MlpWeights.random(np.random.default_rng(3)))
+            lines = bad.read_bytes().splitlines()
+            lines[5] += " \u00e9".encode()
+            bad.write_bytes(b"".join(line + b"\n" for line in lines))
+            argv = ["sct", "--dets", str(dets), "--orientation", f"mlp:{bad}"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"{bad}: line {lineno}: non-ASCII bytes" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize(

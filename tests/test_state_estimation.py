@@ -454,6 +454,7 @@ class TestWeightFile:
             lambda ls: ls[:50], 51, "weight block for 14->128 malformed"
         ),
         "empty": (lambda ls: [], 1, "empty weight file"),
+        "non-ASCII": (lambda ls: ls[:5] + [ls[5] + " \u00e9"] + ls[6:], 6, "non-ASCII bytes"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -462,7 +463,7 @@ class TestWeightFile:
         path = tmp_path / "fault.weights"
         save_mlp_weights(path, MlpWeights.random(np.random.default_rng(17)))
         lines = edit(path.read_text().splitlines())
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         if lineno is None:  # the last line
             lineno = len(lines)
         with pytest.raises(ParseError) as info:
