@@ -320,3 +320,49 @@ class TrackRow:
 
     def sort_key(self):
         return (self.camera_id, self.frame, self.identity)
+
+
+@dataclass(slots=True, eq=False)
+class TrackTable:
+    """Track rows as columns: ``camera``, ``frame`` and ``identity`` are
+    int64 arrays and ``boxes`` an (n, 4) float64 array of ``(x, y, w, h)``
+    rows with finite values and positive extents. A table read from a file
+    holds its rows in file order.
+
+    Evaluation and trajectory building read the columns; iterating yields
+    one ``TrackRow`` per row, for callers that want objects."""
+
+    camera: np.ndarray
+    frame: np.ndarray
+    identity: np.ndarray
+    boxes: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows) -> TrackTable:
+        rows = list(rows)
+        return cls(
+            np.array([r.camera_id for r in rows], dtype=np.int64),
+            np.array([r.frame for r in rows], dtype=np.int64),
+            np.array([r.identity for r in rows], dtype=np.int64),
+            np.array(
+                [(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in rows], dtype=np.float64
+            ).reshape(-1, 4),
+        )
+
+    @classmethod
+    def concatenate(cls, tables) -> TrackTable:
+        """The rows of ``tables`` one after another."""
+        return cls(
+            *(
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in ("camera", "frame", "identity", "boxes")
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.identity)
+
+    def __iter__(self):
+        columns = (self.camera, self.frame, self.identity, self.boxes)
+        for cam, frame, ident, box in zip(*(c.tolist() for c in columns)):
+            yield TrackRow(cam, frame, ident, BBox(*box))

@@ -8,13 +8,19 @@ leaves the fewest misses and false positives, and IDP/IDR/IDF1 are read off
 its matched counts. The CLEAR pass matches boxes frame by frame with a
 carry-over preference and counts FP/FN/identity switches.
 
-Both metrics read one join on (camera, frame), which owns the row contract
-(one row per identity per camera and frame) and the co-location rule (IoU
-at or above the threshold). The join batches consecutive keys into chunks of
-at most ``CHUNK_PAIRS`` truth x predicted pairs (a larger key is a chunk of
-its own) and scores each chunk with one ``core.iou_aligned`` pass, the
+Both metrics read one join on (camera, frame) of two ``TrackTable``s,
+which owns the row contract (one row per identity per camera and frame) and
+the co-location rule (IoU at or above the threshold). The join sorts the
+rows of both tables with one stable ``np.lexsort`` (by camera and frame,
+truth before prediction, then identity) and finds a repeated row by
+comparing neighbours. It batches consecutive keys into chunks of at most
+``CHUNK_PAIRS`` truth x predicted pairs (a larger key is a chunk of its
+own) and scores each chunk with one ``core.iou_aligned`` pass, the
 package's one IoU formula. Its entries do not depend on their neighbours,
-so the chunking changes no overlap.
+so the chunking changes no overlap. The identity measures count the hits
+into the overlap array with one ``np.bincount``; the CLEAR pass counts the
+rows of keys with one side empty by array sums and solves a matching only
+for keys with rows on both sides.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian
-from .core import FORBIDDEN, TrackRow, iou_aligned
+from .core import FORBIDDEN, TrackTable, iou_aligned
 
 # Truth x predicted pairs scored per NumPy pass: keys are batched until the
 # next would pass this, so the pair arrays stay small whatever the file size.
@@ -57,88 +63,100 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 1.0
 
 
-def _colocated(gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float):
-    """The (camera, frame) join that both metrics read.
+@dataclass(frozen=True, slots=True)
+class _Join:
+    """The (camera, frame) join of a truth and a predicted table.
 
-    Yields, in key order, each (camera, frame) with its truth rows and its
-    predicted rows, each sorted by identity, and the ``(i, j, iou)`` of
-    every pair whose boxes co-locate: IoU at or above the threshold, in
-    row-major order. Two rows of one identity in one (camera, frame), on
-    either side, violate the row contract.
+    ``rows`` holds the rows of both tables in join order: by camera and
+    frame, then the truth rows before the predicted ones, each by identity.
+    Key ``k`` starts at row ``first[k]`` with ``n[k]`` truth rows, followed
+    by ``m[k]`` predicted rows. ``hit_g`` and ``hit_p`` are the join-order
+    rows of every truth x predicted pair of a key whose boxes co-locate,
+    ``hit_iou`` its IoU, in key order and row-major within a key."""
+
+    rows: TrackTable
+    first: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+    hit_g: np.ndarray
+    hit_p: np.ndarray
+    hit_iou: np.ndarray
+
+
+def _join(gt: TrackTable, pred: TrackTable, iou_threshold: float) -> _Join:
+    """The join that both metrics read: one stable ``np.lexsort`` of both
+    tables, a repeated row found by comparing neighbours, and the pairs of
+    each key scored chunk by chunk.
+
+    Two rows of one identity in one (camera, frame), on either side,
+    violate the row contract; the error names the first repeat in file
+    order, the truth's before the prediction's.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError("iou_threshold must lie in (0, 1)")
-    gt_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
-    pred_by_key: dict[tuple[int, int], dict[int, TrackRow]] = {}
-    for by_key, rows, side in ((gt_by_key, gt, "truth"), (pred_by_key, pred, "prediction")):
-        for r in rows:
-            key = (r.camera_id, r.frame)
-            by_id = by_key.setdefault(key, {})
-            if r.identity in by_id:
-                raise ValueError(
-                    f"duplicate row for identity {r.identity} at camera "
-                    f"{key[0]} frame {key[1]} in the {side}"
-                )
-            by_id[r.identity] = r
-    chunk = []
-    chunk_pairs = 0
-    for key in sorted(gt_by_key.keys() | pred_by_key.keys()):
-        g_by_id = gt_by_key.get(key, {})
-        p_by_id = pred_by_key.get(key, {})
-        g_rows = [g_by_id[i] for i in sorted(g_by_id)]
-        p_rows = [p_by_id[i] for i in sorted(p_by_id)]
-        key_pairs = len(g_rows) * len(p_rows)
-        # A key larger than a chunk is scored alone.
-        if chunk and chunk_pairs + key_pairs > CHUNK_PAIRS:
-            yield from _score_chunk(chunk, iou_threshold)
-            chunk, chunk_pairs = [], 0
-        chunk.append((key, g_rows, p_rows))
-        chunk_pairs += key_pairs
-    yield from _score_chunk(chunk, iou_threshold)
+    both = TrackTable.concatenate((gt, pred))
+    side = np.repeat(np.array([0, 1], dtype=np.int8), (len(gt), len(pred)))
+    order = np.lexsort((both.identity, side, both.frame, both.camera))
+    columns = (both.camera, both.frame, both.identity, both.boxes)
+    rows = TrackTable(*(np.take(column, order, axis=0) for column in columns))
+    side = side[order]
+    same_key = (rows.camera[1:] == rows.camera[:-1]) & (rows.frame[1:] == rows.frame[:-1])
+    repeat = same_key & (side[1:] == side[:-1]) & (rows.identity[1:] == rows.identity[:-1])
+    if repeat.any():
+        # The sort is stable, so a repeat comes after the rows it repeats,
+        # and every truth row has a smaller index than a predicted row.
+        k = int(order[1:][repeat].min())
+        raise ValueError(
+            f"duplicate row for identity {both.identity[k]} at camera "
+            f"{both.camera[k]} frame {both.frame[k]} in the "
+            f"{'truth' if k < len(gt) else 'prediction'}"
+        )
+    first = np.flatnonzero(np.concatenate(([True], ~same_key))[: len(rows)])
+    ends = np.append(first, len(rows))[1:]
+    truth_before = np.concatenate(([0], np.cumsum(side == 0)))
+    n = truth_before[ends] - truth_before[first]
+    m = ends - first - n
+    no_hits = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    chunks = list(_score_chunks(rows.boxes, first, n, m, iou_threshold)) or [no_hits]
+    return _Join(rows, first, n, m, *(np.concatenate(column) for column in zip(*chunks)))
 
 
-def _score_chunk(chunk: list, iou_threshold: float):
-    """Score every truth x predicted pair of the chunk's keys in one
-    ``iou_aligned`` pass, then yield each key as ``_colocated`` does."""
-    n = np.array([len(g_rows) for _, g_rows, _ in chunk], dtype=np.int64)
-    m = np.array([len(p_rows) for _, _, p_rows in chunk], dtype=np.int64)
-    g_first = np.cumsum(n) - n  # first truth row of each key
-    p_first = np.cumsum(m) - m  # first predicted row of each key
-    # Each truth row pairs with the predicted rows of its key, in order, so
-    # the pairs of a key run row-major.
-    reps = np.repeat(m, n)
-    total = int(reps.sum())
-    hits: list = []
-    ends = [0] * len(chunk)
-    if total:
-        key_of_row = np.repeat(np.arange(len(chunk)), n)
-        row_of = np.repeat(np.arange(len(reps)), reps)
-        pair_first = np.cumsum(reps) - reps  # first pair of each truth row
-        p_at = np.arange(total) + np.repeat(p_first[key_of_row] - pair_first, reps)
-        g_boxes = _boxes([r for _, g_rows, _ in chunk for r in g_rows])
-        p_boxes = _boxes([r for _, _, p_rows in chunk for r in p_rows])
-        # np.repeat and np.take copy rows several times faster than fancy
-        # indexing does.
-        overlaps = iou_aligned(np.repeat(g_boxes, reps, axis=0), np.take(p_boxes, p_at, axis=0))
-        hit = np.flatnonzero(overlaps >= iou_threshold)
-        row = row_of[hit]
-        hit_key = key_of_row[row]
-        i = row - g_first[hit_key]
-        j = p_at[hit] - p_first[hit_key]
-        hits = list(zip(i.tolist(), j.tolist(), overlaps[hit].tolist()))
-        ends = np.cumsum(np.bincount(hit_key, minlength=len(chunk))).tolist()
-    start = 0
-    for (key, g_rows, p_rows), end in zip(chunk, ends):
-        yield key, g_rows, p_rows, hits[start:end]
-        start = end
-
-
-def _boxes(rows: list[TrackRow]) -> np.ndarray:
-    return np.array([(r.bbox.x, r.bbox.y, r.bbox.w, r.bbox.h) for r in rows], dtype=np.float64)
+def _score_chunks(boxes, first, n, m, iou_threshold: float):
+    """Score every truth x predicted pair of each key in one
+    ``iou_aligned`` pass per chunk of keys, and yield each chunk's
+    ``(hit_g, hit_p, hit_iou)`` as ``_Join`` holds them. A chunk takes keys
+    in order while its pairs stay within ``CHUNK_PAIRS``; a larger key is
+    a chunk of its own."""
+    pairs_before = np.concatenate(([0], np.cumsum(n * m)))
+    truth_before = np.concatenate(([0], np.cumsum(n)))
+    # Per truth row, key by key: its join-order row, its key's predicted
+    # row count and the join-order row of its key's first predicted row.
+    truth_row = np.repeat(first - truth_before[:-1], n) + np.arange(truth_before[-1])
+    reps_of = np.repeat(m, n)
+    p_first_of = np.repeat(first + n, n)
+    a = 0
+    while a < len(first):
+        b = int(np.searchsorted(pairs_before, pairs_before[a] + CHUNK_PAIRS, side="right")) - 1
+        b = max(b, a + 1)
+        total = int(pairs_before[b] - pairs_before[a])
+        if total:
+            t = slice(truth_before[a], truth_before[b])
+            reps = reps_of[t]
+            # Each truth row pairs with the predicted rows of its key, in
+            # order, so the pairs of a key run row-major.
+            pair_first = np.cumsum(reps) - reps
+            p_at = np.arange(total) + np.repeat(p_first_of[t] - pair_first, reps)
+            g_at = np.repeat(truth_row[t], reps)
+            # np.repeat and np.take copy rows several times faster than
+            # fancy indexing does.
+            overlaps = iou_aligned(np.take(boxes, g_at, axis=0), np.take(boxes, p_at, axis=0))
+            hit = np.flatnonzero(overlaps >= iou_threshold)
+            yield g_at[hit], p_at[hit], overlaps[hit]
+        a = b
 
 
 def id_measures(
-    gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float = 0.5
+    gt: TrackTable, pred: TrackTable, iou_threshold: float = 0.5
 ) -> IdMeasureReport:
     """IDF1/IDP/IDR from the optimal global identity matching.
 
@@ -150,16 +168,13 @@ def id_measures(
     the sum of ``most - overlap`` over them maximises the total overlap.
     Ties change which identities pair, never IDTP.
     """
-    gt_row = {g: k for k, g in enumerate(sorted({r.identity for r in gt}))}
-    pred_col = {p: k for k, p in enumerate(sorted({r.identity for r in pred}))}
-    cells = [
-        gt_row[g_rows[i].identity] * len(pred_col) + pred_col[p_rows[j].identity]
-        for _, g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold)
-        for i, j, _ in pairs
-    ]
-    shape = (len(gt_row), len(pred_col))
-    overlap = np.bincount(np.array(cells, dtype=np.int64), minlength=shape[0] * shape[1])
-    overlap = overlap.reshape(shape)
+    join = _join(gt, pred, iou_threshold)
+    gt_ids = np.unique(gt.identity)
+    pred_ids = np.unique(pred.identity)
+    shape = (len(gt_ids), len(pred_ids))
+    cells = np.searchsorted(gt_ids, join.rows.identity[join.hit_g]) * shape[1]
+    cells += np.searchsorted(pred_ids, join.rows.identity[join.hit_p])
+    overlap = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
     result = hungarian(overlap.max(initial=0) - overlap)
     idtp = sum(int(overlap[r, c]) for r, c in result.matched_pairs)
     idfn = len(gt) - idtp
@@ -175,7 +190,7 @@ def id_measures(
 
 
 def clear_metrics(
-    gt: list[TrackRow], pred: list[TrackRow], iou_threshold: float = 0.5
+    gt: TrackTable, pred: TrackTable, iou_threshold: float = 0.5
 ) -> ClearReport:
     """MOTA, identity switches, FP and FN via frame-by-frame matching.
 
@@ -183,38 +198,56 @@ def clear_metrics(
     gated at the threshold; pairings that continue the previous association
     of a truth identity are preferred over cheaper fresh ones. A switch is
     a matched truth box whose predicted identity differs from that truth
-    identity's previous pairing in the same camera.
+    identity's previous pairing in the same camera. A key with rows on one
+    side only adds them to FN or FP and changes no pairing.
     """
-    total_gt = len(gt)
-    fp = fn = ids = 0
+    join = _join(gt, pred, iou_threshold)
+    n, m = join.n, join.m
+    fp = int(m[n == 0].sum())
+    fn = int(n[m == 0].sum())
+    ids = 0
     last_pair: dict[tuple[int, int], int] = {}  # (camera, gt id) -> pred id
 
-    for (cam, _), g_rows, p_rows, pairs in _colocated(gt, pred, iou_threshold):
-        if not g_rows:
-            fp += len(p_rows)
-            continue
-        if not p_rows:
-            fn += len(g_rows)
-            continue
+    paired = np.flatnonzero((n > 0) & (m > 0))
+    # The hits run in key order, so each key's hits are one slice.
+    hit_key = np.searchsorted(join.first, join.hit_g, side="right") - 1
+    hit_start = np.searchsorted(hit_key, paired, side="left").tolist()
+    hit_end = np.searchsorted(hit_key, paired, side="right").tolist()
+    identity = join.rows.identity.tolist()
+    hit_g, hit_p, hit_iou = join.hit_g.tolist(), join.hit_p.tolist(), join.hit_iou.tolist()
+    first = join.first[paired]
+    for cam, g0, n_k, m_k, start, end in zip(
+        join.rows.camera[first].tolist(),
+        first.tolist(),
+        n[paired].tolist(),
+        m[paired].tolist(),
+        hit_start,
+        hit_end,
+    ):
+        p0 = g0 + n_k
+        g_ids = identity[g0:p0]
+        p_ids = identity[p0 : p0 + m_k]
         # Any single continuation outweighs every possible IoU saving.
-        penalty = 2.0 * (len(g_rows) + len(p_rows)) + 10.0
-        cost = np.full((len(g_rows), len(p_rows)), FORBIDDEN)
-        for i, j, overlap in pairs:
+        penalty = 2.0 * (n_k + m_k) + 10.0
+        cost = np.full((n_k, m_k), FORBIDDEN)
+        for g, p, overlap in zip(hit_g[start:end], hit_p[start:end], hit_iou[start:end]):
+            i, j = g - g0, p - p0
             # A box's IoU with itself can round a few ulps above 1.
             cost[i, j] = max(0.0, 1.0 - overlap)
-            if last_pair.get((cam, g_rows[i].identity)) != p_rows[j].identity:
+            if last_pair.get((cam, g_ids[i])) != p_ids[j]:
                 cost[i, j] += penalty
         result = hungarian(cost)
         fn += len(result.unmatched_rows)
         fp += len(result.unmatched_cols)
         for i, j in result.matched_pairs:
-            g_id = g_rows[i].identity
-            p_id = p_rows[j].identity
+            g_id = g_ids[i]
+            p_id = p_ids[j]
             prev = last_pair.get((cam, g_id))
             if prev is not None and prev != p_id:
                 ids += 1
             last_pair[(cam, g_id)] = p_id
 
+    total_gt = len(gt)
     if total_gt > 0:
         mota = 1.0 - (fn + fp + ids) / total_gt
     else:

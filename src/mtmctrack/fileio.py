@@ -8,7 +8,8 @@ decoding is correctly rounded, so every value parses to the same double
 values of ``DECODE_CHUNK`` records are stacked and checked together, and
 the detections are built from the checked stacks. Track rows are CSV:
 camera N's rows are MOT-shaped ("frame,id,x,y,w,h,1,-1,-1,-1") in
-``cam<N>.txt``, the multi-camera flavor prefixes a camera column. A
+``cam<N>.txt``, the multi-camera flavor prefixes a camera column; they
+are read into a ``TrackTable`` of columns, a chunk of lines at a time. A
 metric report is written as ``report.json`` and ``report.txt``. All floats
 are serialized with full round-trip precision and every writer goes
 through a temp file renamed on success, so a failed run never leaves
@@ -18,6 +19,7 @@ partial output.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -33,6 +35,7 @@ from .core import (
     NUM_KEYPOINTS,
     PoseKeypoints,
     TrackRow,
+    TrackTable,
     TrackerConfig,
     check_poses,
 )
@@ -56,6 +59,13 @@ DECODE_CHUNK = 64
 # the default 8 KiB buffer splits every second or third line, while this
 # one holds about seventy records.
 READ_BUFFER = 256 * 1024
+# Characters of a track file decoded at a time, about 200 rows. A chunk's
+# lines, split fields and decoded numbers are the reader's transient memory:
+# on a 7,000-row file the reader peaked as high as the row parser did at
+# 64 KiB, and two thirds as high at 16 KiB, at the same speed.
+TRACK_CHUNK_CHARS = 16 * 1024
+# A track table holds its camera, frame and id columns as int64.
+INT64 = np.iinfo(np.int64)
 
 
 class ParseError(ValueError):
@@ -298,58 +308,135 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> list[TrackRow]:
-    """Read either CSV flavor.
+def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> TrackTable:
+    """Read either CSV flavor into a ``TrackTable``, rows in file order.
 
     7-column rows carry their camera; 10-column MOT rows need ``camera_id``
     from the caller (usually derived from the file name). Given
     ``camera_id``, a 7-column row of another camera is an error. A ``_``
     anywhere in a row is an error: ``int()`` and ``float()`` would read it
-    as a digit separator.
+    as a digit separator. A camera, frame or id outside int64 is an error.
+
+    The text is read once, with universal newlines, and checked once for
+    non-ASCII bytes and ``_``. Its lines are then decoded a chunk of about
+    ``TRACK_CHUNK_CHARS`` characters at a time: each column by ``map(int,
+    ...)`` or ``map(float, ...)`` into preallocated arrays, and the boxes
+    checked together at the end. When any of this fails, or a chunk mixes
+    7- and 10-column lines, the text is read again line by line with the
+    row checks (``_parse_track_lines``), so a fault names its line, and a
+    clean file of mixed flavors gets its table from that pass.
     """
-    rows = []
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        text = fh.read()
+    # A non-ASCII byte decodes to a lone surrogate, which strip() keeps, so
+    # either fault sits on a line that is not blank.
+    if text.isascii() and "_" not in text:
+        table = _decode_track_columns(text, camera_id)
+        if table is not None:
+            return table
+    return _parse_track_lines(path, text, camera_id)
+
+
+def _decode_track_columns(text: str, camera_id: Optional[int]) -> Optional[TrackTable]:
+    """The table of an ASCII track text without ``_``, or None when a
+    column check fails: a chunk whose lines do not all have 7 (or, given
+    ``camera_id``, all 10) columns, a value that ``int()`` or ``float()``
+    refuses, an integer outside int64, a 7-column row of another camera
+    than ``camera_id``, or a box that is not finite with positive
+    extents."""
+    size = text.count("\n") + 1  # the line count bounds the row count
+    camera = np.empty(size, dtype=np.int64)
+    frame = np.empty(size, dtype=np.int64)
+    identity = np.empty(size, dtype=np.int64)
+    boxes = np.empty((size, 4), dtype=np.float64)
+    n = start = 0
+    try:
+        while start < len(text):
+            end = text.find("\n", start + TRACK_CHUNK_CHARS)
+            if end < 0:
+                end = len(text)
+            lines = [line for line in map(str.strip, text[start:end].split("\n")) if line]
+            start = end + 1
+            if not lines:
                 continue
-            try:
-                if not line.isascii():
-                    raise ValueError(NON_ASCII_ERROR)
-                if "_" in line:
-                    raise ValueError(UNDERSCORE_ERROR)
-                parts = line.split(",")
-                if len(parts) == 7:
-                    cam, frame, ident, x, y, w, h = parts
-                    cam = int(cam)
-                    if camera_id is not None and cam != camera_id:
-                        raise ValueError(
-                            f"row of camera {cam} in a file of camera {camera_id}"
-                        )
-                elif len(parts) == 10:
-                    if camera_id is None:
-                        raise ValueError("10-column row needs an explicit camera id")
-                    cam = camera_id
-                    frame, ident, x, y, w, h = parts[:6]
-                else:
-                    raise ValueError(f"expected 7 or 10 columns, got {len(parts)}")
-                rows.append(
-                    TrackRow(
-                        cam,
-                        int(frame),
-                        int(ident),
-                        BBox(float(x), float(y), float(w), float(h)),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    return rows
+            commas = set(map(str.count, lines, itertools.repeat(",")))
+            if commas == {6}:
+                width, x_col = 7, 3
+            elif commas == {9} and camera_id is not None:
+                width, x_col = 10, 2
+            else:
+                return None
+            fields = ",".join(lines).split(",")
+            count = len(lines)
+            rows = slice(n, n + count)
+            if width == 7:
+                camera[rows] = np.fromiter(map(int, fields[0::7]), np.int64, count)
+                if camera_id is not None and (camera[rows] != camera_id).any():
+                    return None
+            else:
+                camera[rows] = camera_id
+            frame[rows] = np.fromiter(map(int, fields[x_col - 2 :: width]), np.int64, count)
+            identity[rows] = np.fromiter(map(int, fields[x_col - 1 :: width]), np.int64, count)
+            for c in range(4):
+                column = map(float, fields[x_col + c :: width])
+                boxes[rows, c] = np.fromiter(column, np.float64, count)
+            n += count
+    except (OverflowError, ValueError):
+        return None
+    boxes = boxes[:n]
+    if not (np.isfinite(boxes).all() and (boxes[:, 2] > 0).all() and (boxes[:, 3] > 0).all()):
+        return None
+    return TrackTable(camera[:n], frame[:n], identity[:n], boxes)
 
 
-def parse_track_files(files: dict[int, Path]) -> list[TrackRow]:
+def _parse_track_lines(path: PathLike, text: str, camera_id: Optional[int]) -> TrackTable:
+    """``parse_track_rows`` line by line, each line checked on its own: the
+    first faulty line raises ParseError naming it."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            if not line.isascii():
+                raise ValueError(NON_ASCII_ERROR)
+            if "_" in line:
+                raise ValueError(UNDERSCORE_ERROR)
+            parts = line.split(",")
+            if len(parts) == 7:
+                cam, frame, ident, x, y, w, h = parts
+                cam = int(cam)
+                if camera_id is not None and cam != camera_id:
+                    raise ValueError(f"row of camera {cam} in a file of camera {camera_id}")
+            elif len(parts) == 10:
+                if camera_id is None:
+                    raise ValueError("10-column row needs an explicit camera id")
+                cam = camera_id
+                frame, ident, x, y, w, h = parts[:6]
+            else:
+                raise ValueError(f"expected 7 or 10 columns, got {len(parts)}")
+            row = TrackRow(
+                cam,
+                int(frame),
+                int(ident),
+                BBox(float(x), float(y), float(w), float(h)),
+            )
+            # Last, so that a row with another fault keeps its message.
+            for name, value in (("camera", cam), ("frame", row.frame), ("id", row.identity)):
+                if not INT64.min <= value <= INT64.max:
+                    raise ValueError(f"{name} is outside the int64 range")
+            rows.append(row)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    return TrackTable.from_rows(rows)
+
+
+def parse_track_files(files: dict[int, Path]) -> TrackTable:
     """The rows of per-camera track files, ``{camera: path}`` as
     ``find_track_files`` gives them, in camera order."""
-    return [row for cam in sorted(files) for row in parse_track_rows(files[cam], camera_id=cam)]
+    return TrackTable.concatenate(
+        [parse_track_rows(files[cam], camera_id=cam) for cam in sorted(files)]
+    )
 
 
 def load_config(path: Optional[PathLike] = None) -> TrackerConfig:

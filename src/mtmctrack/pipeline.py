@@ -13,7 +13,9 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .core import DetectionObservation, TrackRow, TrackerConfig
+import numpy as np
+
+from .core import DetectionObservation, TrackTable, TrackerConfig
 from .evaluation import clear_metrics, id_measures
 from .fileio import (
     parse_detections,
@@ -164,7 +166,7 @@ def run_sct_stage(
 
 
 def trajectories_from_rows(
-    rows: list[TrackRow],
+    rows: TrackTable,
     dets: list[DetectionObservation],
     cfg: TrackerConfig,
     estimator: Optional[OrientationEstimator] = None,
@@ -176,7 +178,8 @@ def trajectories_from_rows(
     cluster set: cross-camera linking reads only the averaged feature and
     the orientation slots, and every link carries the ``None`` on.
 
-    A row must name exactly one detection by its camera, frame and box."""
+    The rows are walked in stable (camera, frame, identity) order. A row
+    must name exactly one detection by its camera, frame and box."""
     populate_state(dets, cfg, estimator)
     lookup: dict[tuple, DetectionObservation] = {}
     shared: set[tuple] = set()
@@ -186,21 +189,19 @@ def trajectories_from_rows(
             shared.add(key)
 
     grouped: dict[tuple[int, int], list[DetectionObservation]] = {}
-    for row in sorted(rows, key=lambda r: r.sort_key()):
-        key = (row.camera_id, row.frame, row.bbox.x, row.bbox.y, row.bbox.w, row.bbox.h)
+    order = np.lexsort((rows.identity, rows.frame, rows.camera))
+    columns = (rows.camera, rows.frame, rows.identity, *rows.boxes.T)
+    for cam, frame, ident, x, y, w, h in zip(*(np.take(c, order).tolist() for c in columns)):
+        key = (cam, frame, x, y, w, h)
         det = lookup.get(key)
         if det is None or key in shared:
             problem = "has no matching" if det is None else "matches more than one"
             raise ValueError(
-                f"track row (camera {row.camera_id}, frame {row.frame}, "
-                f"id {row.identity}) {problem} detection"
+                f"track row (camera {cam}, frame {frame}, id {ident}) {problem} detection"
             )
-        group = grouped.setdefault((row.camera_id, row.identity), [])
-        if group and group[-1].frame == row.frame:
-            raise ValueError(
-                f"track rows repeat (camera {row.camera_id}, frame {row.frame}, "
-                f"id {row.identity})"
-            )
+        group = grouped.setdefault((cam, ident), [])
+        if group and group[-1].frame == frame:
+            raise ValueError(f"track rows repeat (camera {cam}, frame {frame}, id {ident})")
         group.append(det)
 
     trajs = []
@@ -238,8 +239,8 @@ def run_mct_stage(
 
 
 def run_eval_stage(
-    gt_rows: list[TrackRow],
-    pred_rows: list[TrackRow],
+    gt_rows: TrackTable,
+    pred_rows: TrackTable,
     out_dir: Optional[Path] = None,
     iou_threshold: float = 0.5,
 ) -> dict:

@@ -21,6 +21,7 @@ from mtmctrack.core import (
     Orientation,
     PoseKeypoints,
     TrackRow,
+    TrackTable,
     TrackerConfig,
 )
 from mtmctrack.evaluation import id_measures
@@ -339,7 +340,7 @@ def test_06_id_measure_oracle():
             for f in range(frames):
                 if rng.random() < 0.75:
                     pred.append(TrackRow(0, f, p + 1, BBox(0, 30.0 * lane, 10, 10)))
-        report = id_measures(gt, pred)
+        report = id_measures(TrackTable.from_rows(gt), TrackTable.from_rows(pred))
         idtp, idf1 = _exhaustive_idf1(gt, pred)
         if report.idtp != idtp or abs(report.idf1 - idf1) > 1e-12:
             bad += 1
@@ -354,7 +355,8 @@ def test_06_id_measure_oracle():
         return gt, pred
 
     gt, pred = swap_tracks()
-    swap_ok = id_measures(gt, pred).idf1 == pytest.approx(0.5)
+    swap = id_measures(TrackTable.from_rows(gt), TrackTable.from_rows(pred))
+    swap_ok = swap.idf1 == pytest.approx(0.5)
     _report(6, "identity measure oracle", bad == 0 and swap_ok, f"{bad} mismatches")
 
 

@@ -7,9 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtmctrack import evaluation
-from mtmctrack.core import BBox, TrackRow
-from mtmctrack.evaluation import _colocated, clear_metrics, id_measures
+from mtmctrack.core import BBox, TrackRow, TrackTable
+from mtmctrack.evaluation import _join
 from mtmctrack.synth import ScenarioSpec, generate_scenario
+
+
+def id_measures(gt, pred, **kwargs):
+    """``evaluation.id_measures`` of two row lists, as tables."""
+    return evaluation.id_measures(TrackTable.from_rows(gt), TrackTable.from_rows(pred), **kwargs)
+
+
+def clear_metrics(gt, pred, **kwargs):
+    """``evaluation.clear_metrics`` of two row lists, as tables."""
+    return evaluation.clear_metrics(TrackTable.from_rows(gt), TrackTable.from_rows(pred), **kwargs)
 
 
 def scalar_iou(a, b):
@@ -383,6 +393,24 @@ def per_key_join(gt, pred, thr):
     return out
 
 
+def join_by_key(gt, pred, thr):
+    """``_join`` of two row lists in ``per_key_join``'s shape. Its hits are
+    consumed in order, key by key, so hits out of key order fail."""
+    join = _join(TrackTable.from_rows(gt), TrackTable.from_rows(pred), thr)
+    rows = list(join.rows)
+    hits = list(zip(join.hit_g.tolist(), join.hit_p.tolist(), join.hit_iou.tolist()))
+    out = []
+    for first, n, m in zip(join.first.tolist(), join.n.tolist(), join.m.tolist()):
+        pairs = []
+        while hits and first <= hits[0][0] < first + n:
+            g, p, overlap = hits.pop(0)
+            pairs.append((g - first, p - first - n, overlap))
+        key = (rows[first].camera_id, rows[first].frame)
+        out.append((key, rows[first : first + n], rows[first + n : first + n + m], pairs))
+    assert hits == []
+    return out
+
+
 class TestColocatedChunks:
     @pytest.mark.parametrize("chunk", [1, 2, 7, None])
     def test_matches_per_key_iou_matrix_bit_for_bit(self, monkeypatch, chunk):
@@ -392,7 +420,7 @@ class TestColocatedChunks:
         for _ in range(30):
             gt, pred = random_keys(rng, int(rng.integers(0, 25)))
             thr = float(rng.uniform(0.05, 0.6))
-            got = list(_colocated(gt, pred, thr))
+            got = join_by_key(gt, pred, thr)
             want = per_key_join(gt, pred, thr)
             assert [g[:3] for g in got] == [w[:3] for w in want]
             for (*_, got_pairs), (*_, want_pairs) in zip(got, want):
@@ -401,3 +429,24 @@ class TestColocatedChunks:
                 got_bits = np.array([v for *_, v in got_pairs], dtype=np.float64).view(np.uint64)
                 want_bits = np.array([v for *_, v in want_pairs], dtype=np.float64).view(np.uint64)
                 assert np.array_equal(got_bits, want_bits)
+
+    @pytest.mark.parametrize(
+        "truth_repeats, pred_repeats, named",
+        [
+            (True, True, "1 at camera 0 frame 3 in the truth"),
+            (False, True, "5 at camera 0 frame 3 in the prediction"),
+        ],
+    )
+    def test_duplicate_names_the_first_repeat_in_file_order(
+        self, truth_repeats, pred_repeats, named
+    ):
+        # A side repeats two (identity, frame) rows. The sort puts frame 1
+        # first, but frame 3's repeat comes first in the file.
+        def side(ident, repeats):
+            rows = [row(3, ident), row(1, ident + 1)]
+            return rows + ([row(3, ident, x=1.0), row(1, ident + 1, x=2.0)] if repeats else [])
+
+        gt = TrackTable.from_rows(side(1, truth_repeats))
+        pred = TrackTable.from_rows(side(5, pred_repeats))
+        with pytest.raises(ValueError, match=f"^duplicate row for identity {named}$"):
+            _join(gt, pred, 0.5)

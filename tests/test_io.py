@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,6 +17,7 @@ from mtmctrack.core import (
     NUM_KEYPOINTS,
     PoseKeypoints,
     TrackRow,
+    TrackTable,
     TrackerConfig,
 )
 from mtmctrack.fileio import (
@@ -527,7 +530,7 @@ class TestTrackRowFile:
         path = tmp_path / "rows.csv"
         write_track_rows(path, [])
         assert path.read_text() == ""
-        assert parse_track_rows(path) == []
+        assert len(parse_track_rows(path)) == 0
 
     def test_single_camera_format_line(self, tmp_path):
         path = tmp_path / "cam1.txt"
@@ -680,7 +683,256 @@ class TestTrackRowFile:
         write_track_rows(path, [TrackRow(0, 1, 1, BBox(0, 0, 5, 5))])
         with pytest.raises(ParseError):
             parse_track_rows(path)
-        assert parse_track_rows(path, camera_id=0)[0].camera_id == 0
+        assert parse_track_rows(path, camera_id=0).camera.tolist() == [0]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def reference_track_rows(path, camera_id=None):
+    """Track rows read one line at a time: the row parser that
+    ``parse_track_rows`` replaced, with its checks and messages, plus the
+    int64 rule. Returns a list of TrackRow."""
+    rows = []
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if not line.isascii():
+                    raise ValueError("non-ASCII bytes")
+                if "_" in line:
+                    raise ValueError("'_' is not allowed in a number")
+                parts = line.split(",")
+                if len(parts) == 7:
+                    cam, frame, ident, x, y, w, h = parts
+                    cam = int(cam)
+                    if camera_id is not None and cam != camera_id:
+                        raise ValueError(f"row of camera {cam} in a file of camera {camera_id}")
+                elif len(parts) == 10:
+                    if camera_id is None:
+                        raise ValueError("10-column row needs an explicit camera id")
+                    cam = camera_id
+                    frame, ident, x, y, w, h = parts[:6]
+                else:
+                    raise ValueError(f"expected 7 or 10 columns, got {len(parts)}")
+                row = TrackRow(
+                    cam, int(frame), int(ident), BBox(float(x), float(y), float(w), float(h))
+                )
+                for name, value in (("camera", cam), ("frame", row.frame), ("id", row.identity)):
+                    if not INT64_MIN <= value <= INT64_MAX:
+                        raise ValueError(f"{name} is outside the int64 range")
+                rows.append(row)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
+
+
+def assert_same_table(table, rows):
+    """``table`` holds ``rows`` bit for bit, in order."""
+    want = TrackTable.from_rows(rows)
+    for name in ("camera", "frame", "identity"):
+        got = getattr(table, name)
+        assert got.dtype == np.int64 and got.tolist() == getattr(want, name).tolist(), name
+    assert table.boxes.dtype == np.float64 and table.boxes.shape == (len(rows), 4)
+    assert np.array_equal(table.boxes.view(np.uint64), want.boxes.view(np.uint64))
+
+
+# Whitespace that str.strip() removes but a text file does not end a line
+# at; str.splitlines() would split at the last two.
+PAD = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c"])
+# True about once in 40 draws. Hypothesis draws the ends of a range more
+# often than its middle, so the rare value sits in the middle.
+RARELY = st.integers(0, 39).map(lambda k: k == 20)
+
+
+@st.composite
+def int_field(draw):
+    """An integer's text: sign, leading zeros and padding drawn, with
+    values at and past the int64 edges, and now and then a token int()
+    refuses."""
+    if draw(RARELY):
+        return draw(st.sampled_from(["", "1.5", "x", "1e3", "0x10"]))
+    if draw(RARELY):
+        value = draw(st.sampled_from([INT64_MIN, INT64_MAX, INT64_MIN - 1, INT64_MAX + 1, 2**70]))
+    else:
+        value = draw(st.integers(-5, 2**40))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    zeros = "0" * draw(st.integers(0, 2))
+    return f"{draw(PAD)}{sign}{zeros}{abs(value)}{draw(PAD)}"
+
+
+@st.composite
+def float_field(draw, extent_only=False):
+    """A float's text: repr, exponent or integer form, sign, leading zeros
+    and padding drawn, and now and then a value a box refuses."""
+    if draw(RARELY):
+        return draw(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "x", ""]))
+    value = draw(extent if extent_only else finite)
+    form = draw(st.sampled_from(["repr", "exponent", "integer"]))
+    if form == "exponent":
+        text = f"{abs(value):.17e}"
+    elif form == "integer" and value.is_integer():
+        text = str(int(abs(value)))
+    else:
+        text = repr(abs(value))
+    sign = "-" if math.copysign(1.0, value) < 0 else draw(st.sampled_from(["", "+"]))
+    zeros = "0" * draw(st.integers(0, 2))
+    return f"{draw(PAD)}{sign}{zeros}{text}{draw(PAD)}"
+
+
+@st.composite
+def track_line(draw, camera_id):
+    """One row of either flavor; with ``camera_id`` the 7-column rows
+    mostly name that camera, and now and then a row has a column too few
+    or too many."""
+    fields = [draw(int_field()), draw(int_field()), draw(float_field()), draw(float_field())]
+    fields += [draw(float_field(True)), draw(float_field(True))]
+    if camera_id is None or draw(st.booleans()):
+        if camera_id is not None and not draw(RARELY):
+            cam = f"{draw(PAD)}{camera_id}{draw(PAD)}"
+        else:
+            cam = draw(int_field())
+        fields.insert(0, cam)
+    else:
+        fields += ["1", "-1", " -1", "-1 "]
+    if draw(RARELY):
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+    return ",".join(fields)
+
+
+@st.composite
+def track_text(draw, camera_id):
+    """Rows and blank lines, each ended by a drawn \\n, \\r\\n or lone \\r; the
+    last line end may be left out."""
+    lines = draw(
+        st.lists(st.one_of(track_line(camera_id), PAD, st.just("  \t ")), max_size=12)
+    )
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestTrackTableReader:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        camera_id=st.sampled_from([None, 2]),
+        chunk=st.sampled_from([1, 40, None]),
+        data=st.data(),
+    )
+    def test_matches_the_row_reader_bit_for_bit(
+        self, tmp_path, monkeypatch, camera_id, chunk, data
+    ):
+        # Small chunks put chunk ends at every line, so 7- and 10-column
+        # rows meet in one chunk and across two.
+        if chunk is not None:
+            monkeypatch.setattr(fileio, "TRACK_CHUNK_CHARS", chunk)
+        path = tmp_path / "cam2.txt"
+        path.write_bytes(data.draw(track_text(camera_id)).encode("ascii"))
+        try:
+            want = reference_track_rows(path, camera_id)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_track_rows(path, camera_id)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_table(parse_track_rows(path, camera_id), want)
+
+    def test_mixed_flavors_in_one_file(self, tmp_path):
+        path = tmp_path / "cam2.txt"
+        path.write_text("2,1,7,0,0,5,5\n\n 3 ,8, 1e1,+0.5,5,5,1,-1,-1,-1\r\n2,4,9,-1,2,3,4\n")
+        table = parse_track_rows(path, camera_id=2)
+        assert_same_table(table, reference_track_rows(path, camera_id=2))
+        assert table.frame.tolist() == [1, 3, 4] and table.boxes[1].tolist() == [10.0, 0.5, 5, 5]
+
+    def test_a_form_feed_does_not_end_a_line(self, tmp_path):
+        # str.splitlines() would cut this row in two at the \x0c.
+        path = tmp_path / "tracks.csv"
+        path.write_text("0,1,7,0,0,5,5\x0c\n\x0c\n0,2,7,0,0,5,5\n")
+        assert parse_track_rows(path).frame.tolist() == [1, 2]
+
+
+class TestTrackIntegerRange:
+    @pytest.mark.parametrize("value", [INT64_MIN - 1, INT64_MAX + 1])
+    @pytest.mark.parametrize(
+        "flavor, column",
+        [("7", "camera"), ("7", "frame"), ("7", "id"), ("10", "frame"), ("10", "id")],
+    )
+    def test_value_outside_int64_names_line(self, tmp_path, flavor, column, value):
+        fields = {"camera": 0, "frame": 5, "id": 7}
+        fields[column] = value
+        if flavor == "7":
+            line, camera_id = "{camera},{frame},{id},10,10,20,40", None
+        else:
+            line, camera_id = "{frame},{id},10,10,20,40,1,-1,-1,-1", 0
+        path = tmp_path / "cam0.txt"
+        path.write_text(line.format(camera=0, frame=4, id=7) + "\n" + line.format(**fields) + "\n")
+        message = f"{column} is outside the int64 range"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: {message}$"):
+            parse_track_rows(path, camera_id=camera_id)
+
+    def test_mot_file_of_a_camera_outside_int64_names_line(self, tmp_path):
+        # A MOT row's camera is its file's N, which find_track_files reads
+        # as a decimal number of any size.
+        path = tmp_path / f"cam{INT64_MAX + 1}.txt"
+        path.write_text("4,7,10,10,20,40,1,-1,-1,-1\n")
+        message = "line 1: camera is outside the int64 range"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            fileio.parse_track_files(find_track_files(tmp_path))
+
+    def test_int64_edges_read_exactly(self, tmp_path):
+        path = tmp_path / f"cam{INT64_MAX}.txt"
+        path.write_text(f"{INT64_MIN},{INT64_MAX},10,10,20,40,1,-1,-1,-1\n")
+        table = fileio.parse_track_files(find_track_files(tmp_path))
+        columns = (table.camera.tolist(), table.frame.tolist(), table.identity.tolist())
+        assert columns == ([INT64_MAX], [INT64_MIN], [INT64_MAX])
+
+
+def whole_file_split(path):
+    """The columns of a camera-column track file from one split of its
+    whole text: the table reader without its chunks."""
+    with open(path) as fh:
+        lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
+    fields = ",".join(lines).split(",")
+    ints = [np.array(list(map(int, fields[k::7])), dtype=np.int64) for k in range(3)]
+    floats = [np.array(list(map(float, fields[k::7]))) for k in range(3, 7)]
+    return ints, np.column_stack(floats)
+
+
+def test_track_reader_peak_memory(tmp_path):
+    # 200,000 camera-column rows with full-precision boxes: 16 MiB of text.
+    # Under tracemalloc (Python 3.11, NumPy 2.4) the reader peaked at
+    # 32 MiB, while reading: the file's bytes and their decoded text. The
+    # text and the 11 MiB table come to 27 MiB. The row reader peaked at
+    # 50 MiB and the unchunked split at 140 MiB.
+    n = 200_000
+    rng = np.random.default_rng(71)
+    ints = (rng.integers(0, 4, n).tolist(), range(n), rng.integers(1, 50, n).tolist())
+    spans = ((0, 1900), (0, 1000), (1, 200), (1, 400))
+    floats = (rng.uniform(low, high, n).tolist() for low, high in spans)
+    path = tmp_path / "tracks.csv"
+    with open(path, "w") as fh:
+        for c, f, i, x, y, w, h in zip(*ints, *floats):
+            fh.write(f"{c},{f},{i},{x!r},{y!r},{w!r},{h!r}\n")
+    bound = 40 * 2**20
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_track_rows) < bound
+    assert peak(reference_track_rows) > bound
+    assert peak(whole_file_split) > bound
 
 
 class TestConfigFile:

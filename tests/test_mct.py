@@ -10,6 +10,7 @@ from mtmctrack.core import (
     Orientation,
     PoseKeypoints,
     TrackRow,
+    TrackTable,
     TrackerConfig,
 )
 from mtmctrack.features import FusedTrackingFeature, MeanSlot, replay_feature
@@ -317,7 +318,7 @@ class TestStateAndFilePathsAgree:
                     emitted[(cam, t.id)] = t
 
         fresh_dets = parse_detections(det_path, cfg.feature_dim)
-        from_rows = trajectories_from_rows(all_rows, fresh_dets, cfg)
+        from_rows = trajectories_from_rows(TrackTable.from_rows(all_rows), fresh_dets, cfg)
 
         assert all(len(traj.sources) == 1 for traj in from_rows)
         by_source = {traj.sources[0]: traj for traj in from_rows}
@@ -334,7 +335,7 @@ class TestStateAndFilePathsAgree:
 @pytest.fixture(scope="module")
 def handoff():
     """The ``two_camera_handoff`` preset tracked offline, camera by camera:
-    the config, the rows and the detections they were made from."""
+    the config, the rows as a table and the detections they were made from."""
     from mtmctrack.sct import run_sct
     from mtmctrack.synth import generate_scenario, scenario_presets
 
@@ -344,7 +345,7 @@ def handoff():
     for cam in sorted({d.camera_id for d in dets}):
         cam_rows, _ = run_sct([d for d in dets if d.camera_id == cam], cfg, camera_id=cam, offline=True)
         rows.extend(cam_rows)
-    return cfg, rows, dets
+    return cfg, TrackTable.from_rows(rows), dets
 
 
 # A fused feature without its cluster set: what cross-camera linking reads.
@@ -392,7 +393,7 @@ class TestTrajectoriesFromRows:
         rows = [TrackRow(0, d.frame, 7, d.bbox) for d in dets[:2]]
         rows.append(TrackRow(0, 1, 7, BBox(second_x, 100.0, 40.0, 80.0)))
         with pytest.raises(ValueError, match=r"repeat \(camera 0, frame 1, id 7\)"):
-            trajectories_from_rows(rows, dets, CFG)
+            trajectories_from_rows(TrackTable.from_rows(rows), dets, CFG)
 
     def test_row_matching_two_detections_rejected(self):
         # Two detections share camera, frame and box; each row would get the
@@ -403,7 +404,7 @@ class TestTrajectoriesFromRows:
         rows = [TrackRow(0, 0, 7, dets[0].bbox), TrackRow(0, 1, 7, dets[1].bbox)]
         rows.append(TrackRow(0, 1, 8, dets[2].bbox))
         with pytest.raises(ValueError, match=r"camera 0, frame 1, id 7\) matches more than one"):
-            trajectories_from_rows(rows, dets, CFG)
+            trajectories_from_rows(TrackTable.from_rows(rows), dets, CFG)
 
 
 STEPS = st.lists(

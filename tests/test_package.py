@@ -1,6 +1,7 @@
 """Structure of the package: modules share only public names."""
 
 import ast
+import csv
 import dataclasses
 import importlib
 import importlib.util
@@ -248,3 +249,26 @@ def test_traced_run_reports_every_declared_layer_metric(tmp_path, monkeypatch):
         return {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
 
     assert written(tmp_path / "traced") == written(tmp_path / "plain")
+
+
+def test_traced_identity_pairs_match_the_written_files(tmp_path, monkeypatch):
+    # The tracer counts id_measures' pairs by iterating its two arguments,
+    # track tables that yield their rows; counted here from the files.
+    from mtmctrack.pipeline import run_pipeline
+
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        run_pipeline("two_camera_handoff", tmp_path, offline=True)
+    finally:
+        tracer.uninstall()
+
+    def identities(name):
+        # camera,frame,id,x,y,w,h
+        with open(tmp_path / name, newline="") as fh:
+            return len({int(row[2]) for row in csv.reader(fh)})
+
+    truth, predicted = identities("gt.csv"), identities("tracks_mct.csv")
+    assert truth > 1 and predicted > 1
+    pairs = tracer.run_metrics(0)["evaluation.id_measures.gt_pred_pairs"]
+    assert pairs == truth * predicted
