@@ -8,14 +8,24 @@ Where no row and no column has more than one feasible entry, that matching
 is the feasible entries themselves, and the Hungarian path returns them
 without calling the solver: most per-frame matrices of tracking and
 evaluation look like this.
+
+The solver is the shortest augmenting path algorithm of Crouse, "On
+implementing 2D rectangular assignment algorithms" (IEEE Trans. Aerospace
+and Electronic Systems 52(4), 2016), ported step for step from SciPy's
+``linear_sum_assignment``, so it picks the same matching among equal-cost
+ones. A tall matrix is solved transposed. Each row's search scans the
+columns not yet on its path, which start in reverse order, so a constant
+matrix gives the identity matching; the column of lowest path cost is
+taken next, the first in scan order on a tie, unless a later tied column
+is unassigned, which ends the path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import FORBIDDEN
 
@@ -68,10 +78,11 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
         # only maximal matching, already in row-major order.
         pairs = list(zip(feasible_rows, feasible_cols))
     else:
-        cost = np.where(feasible, m, surrogate)
-        row_idx, col_idx = linear_sum_assignment(cost)
-        pairs = [(int(r), int(c)) for r, c in zip(row_idx, col_idx) if feasible[r, c]]
-        pairs.sort()
+        pairs = sorted(
+            (r, c)
+            for r, c in _shortest_augmenting_path(np.where(feasible, m, surrogate).tolist())
+            if feasible[r, c]
+        )
     matched_r = {r for r, _ in pairs}
     matched_c = {c for _, c in pairs}
     return AssignmentResult(
@@ -79,6 +90,67 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
         unmatched_rows=[r for r in range(rows) if r not in matched_r],
         unmatched_cols=[c for c in range(cols) if c not in matched_c],
     )
+
+
+def _shortest_augmenting_path(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of a minimum-cost matching of a finite cost
+    matrix that assigns every row of a wide matrix, or every column of a
+    tall one, as SciPy's ``linear_sum_assignment`` finds it (see the module
+    docstring). Path costs and duals take the same IEEE operations in the
+    same order as SciPy's, so ties resolve the same way."""
+    transpose = len(cost[0]) < len(cost)
+    if transpose:
+        cost = [list(column) for column in zip(*cost)]
+    nr, nc = len(cost), len(cost[0])
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur_row in range(nr):
+        shortest = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        visited_rows = []
+        visited_cols = []
+        min_val = 0.0
+        i = cur_row
+        while True:
+            visited_rows.append(i)
+            row, u_i = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # On a tie an unassigned column wins: it ends the path.
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            j = remaining[index]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # Update the duals of the rows and columns the search visited.
+        u[cur_row] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        # Augment along the path back from the sink column ``j``.
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        return [(c, r) for r, c in enumerate(col4row)]
+    return list(enumerate(col4row))
 
 
 def greedy_associate(matrix: np.ndarray, threshold: float) -> list[tuple[int, int]]:

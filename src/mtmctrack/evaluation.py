@@ -9,7 +9,8 @@ its matched counts. The CLEAR pass matches boxes frame by frame with a
 carry-over preference and counts FP/FN/identity switches.
 
 Both metrics read one join on (camera, frame) of two ``TrackTable``s,
-which owns the row contract (one row per identity per camera and frame) and
+``join_tracks``, which a caller of both builds once and passes to each. It
+owns the row contract (one row per identity per camera and frame) and
 the co-location rule (IoU at or above the threshold). The join sorts the
 rows of both tables with one stable ``np.lexsort`` (by camera and frame,
 truth before prediction, then identity) and finds a repeated row by
@@ -26,6 +27,7 @@ for keys with rows on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -64,8 +66,9 @@ def _ratio(num: float, den: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class _Join:
-    """The (camera, frame) join of a truth and a predicted table.
+class TrackJoin:
+    """The (camera, frame) join of the truth table ``gt`` and the predicted
+    table ``pred`` at ``iou_threshold``.
 
     ``rows`` holds the rows of both tables in join order: by camera and
     frame, then the truth rows before the predicted ones, each by identity.
@@ -74,6 +77,9 @@ class _Join:
     rows of every truth x predicted pair of a key whose boxes co-locate,
     ``hit_iou`` its IoU, in key order and row-major within a key."""
 
+    gt: TrackTable
+    pred: TrackTable
+    iou_threshold: float
     rows: TrackTable
     first: np.ndarray
     n: np.ndarray
@@ -83,7 +89,7 @@ class _Join:
     hit_iou: np.ndarray
 
 
-def _join(gt: TrackTable, pred: TrackTable, iou_threshold: float) -> _Join:
+def join_tracks(gt: TrackTable, pred: TrackTable, iou_threshold: float) -> TrackJoin:
     """The join that both metrics read: one stable ``np.lexsort`` of both
     tables, a repeated row found by comparing neighbours, and the pairs of
     each key scored chunk by chunk.
@@ -118,13 +124,24 @@ def _join(gt: TrackTable, pred: TrackTable, iou_threshold: float) -> _Join:
     m = ends - first - n
     no_hits = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     chunks = list(_score_chunks(rows.boxes, first, n, m, iou_threshold)) or [no_hits]
-    return _Join(rows, first, n, m, *(np.concatenate(column) for column in zip(*chunks)))
+    hits = (np.concatenate(column) for column in zip(*chunks))
+    return TrackJoin(gt, pred, iou_threshold, rows, first, n, m, *hits)
+
+
+def _join_of(gt, pred, iou_threshold: float, join: Optional[TrackJoin]) -> TrackJoin:
+    """``join`` if it is the join of these tables at this threshold, a new
+    join if it is None."""
+    if join is None:
+        return join_tracks(gt, pred, iou_threshold)
+    if join.gt is not gt or join.pred is not pred or join.iou_threshold != iou_threshold:
+        raise ValueError("join was built from other tables or another IoU threshold")
+    return join
 
 
 def _score_chunks(boxes, first, n, m, iou_threshold: float):
     """Score every truth x predicted pair of each key in one
     ``iou_aligned`` pass per chunk of keys, and yield each chunk's
-    ``(hit_g, hit_p, hit_iou)`` as ``_Join`` holds them. A chunk takes keys
+    ``(hit_g, hit_p, hit_iou)`` as ``TrackJoin`` holds them. A chunk takes keys
     in order while its pairs stay within ``CHUNK_PAIRS``; a larger key is
     a chunk of its own."""
     pairs_before = np.concatenate(([0], np.cumsum(n * m)))
@@ -156,7 +173,11 @@ def _score_chunks(boxes, first, n, m, iou_threshold: float):
 
 
 def id_measures(
-    gt: TrackTable, pred: TrackTable, iou_threshold: float = 0.5
+    gt: TrackTable,
+    pred: TrackTable,
+    iou_threshold: float = 0.5,
+    *,
+    join: Optional[TrackJoin] = None,
 ) -> IdMeasureReport:
     """IDF1/IDP/IDR from the optimal global identity matching.
 
@@ -166,9 +187,10 @@ def id_measures(
     largest total overlap gives IDTP. Every pairing is allowed, so the
     Hungarian solver pairs min(n_truth, n_pred) identities, and minimising
     the sum of ``most - overlap`` over them maximises the total overlap.
-    Ties change which identities pair, never IDTP.
+    Ties change which identities pair, never IDTP. ``join``, when given,
+    must be ``join_tracks(gt, pred, iou_threshold)``.
     """
-    join = _join(gt, pred, iou_threshold)
+    join = _join_of(gt, pred, iou_threshold, join)
     gt_ids = np.unique(gt.identity)
     pred_ids = np.unique(pred.identity)
     shape = (len(gt_ids), len(pred_ids))
@@ -190,7 +212,11 @@ def id_measures(
 
 
 def clear_metrics(
-    gt: TrackTable, pred: TrackTable, iou_threshold: float = 0.5
+    gt: TrackTable,
+    pred: TrackTable,
+    iou_threshold: float = 0.5,
+    *,
+    join: Optional[TrackJoin] = None,
 ) -> ClearReport:
     """MOTA, identity switches, FP and FN via frame-by-frame matching.
 
@@ -199,9 +225,10 @@ def clear_metrics(
     of a truth identity are preferred over cheaper fresh ones. A switch is
     a matched truth box whose predicted identity differs from that truth
     identity's previous pairing in the same camera. A key with rows on one
-    side only adds them to FN or FP and changes no pairing.
+    side only adds them to FN or FP and changes no pairing. ``join``, when
+    given, must be ``join_tracks(gt, pred, iou_threshold)``.
     """
-    join = _join(gt, pred, iou_threshold)
+    join = _join_of(gt, pred, iou_threshold, join)
     n, m = join.n, join.m
     fp = int(m[n == 0].sum())
     fn = int(n[m == 0].sum())

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DetectionObservation, TrackTable, TrackerConfig
-from .evaluation import clear_metrics, id_measures
+from .evaluation import clear_metrics, id_measures, join_tracks
 from .fileio import (
     parse_detections,
     parse_track_files,
@@ -244,9 +244,11 @@ def run_eval_stage(
     out_dir: Optional[Path] = None,
     iou_threshold: float = 0.5,
 ) -> dict:
-    """ID measures plus CLEAR metrics, optionally written as a report."""
-    ids_report = id_measures(gt_rows, pred_rows, iou_threshold)
-    clear = clear_metrics(gt_rows, pred_rows, iou_threshold)
+    """ID measures plus CLEAR metrics, optionally written as a report. Both
+    read one join of the two tables."""
+    join = join_tracks(gt_rows, pred_rows, iou_threshold)
+    ids_report = id_measures(gt_rows, pred_rows, iou_threshold, join=join)
+    clear = clear_metrics(gt_rows, pred_rows, iou_threshold, join=join)
     report = {
         "idf1": ids_report.idf1,
         "idp": ids_report.idp,

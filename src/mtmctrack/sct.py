@@ -1,14 +1,15 @@
 """Single-camera tracking: per-frame association, tracklet lifecycle,
 tracklet rectifying and tracklet clustering.
 
-A camera is processed strictly frame by frame. Each frame runs: populate
-detection state, build the tracklet-detection distance matrix, solve it
-with the Hungarian solver, append each match to its tracklet, spawn
-tracklets from unmatched detections, rectify fragmented tracklets, then
-retire the tracklets that have disappeared. A tracklet's lifecycle phase is
-not stored; ``phase_of`` reads it from the tracklet's history. Every
-``k_interval`` frames the tracklet set is clustered and the window's rows
-are emitted.
+A camera is processed strictly frame by frame, apart from the empty frames
+while no tracklet is live, which change nothing and are skipped. Each
+frame runs: populate detection state, build the tracklet-detection
+distance matrix, solve it with the Hungarian solver, append each match to
+its tracklet, spawn tracklets from unmatched detections, rectify
+fragmented tracklets, then retire the tracklets that have disappeared.
+A tracklet's lifecycle phase is not stored; ``phase_of`` reads it from the
+tracklet's history. Every ``k_interval`` frames the tracklet set is
+clustered and the window's rows are emitted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -157,11 +158,11 @@ def compute_distance_matrix(
 def phase_of(t: History, frame: int, cfg: TrackerConfig) -> TrackingPhase:
     """The lifecycle phase of tracklet ``t`` at ``frame``, read from its history.
 
-    ``step_frame`` processes every frame, skipped ones as empty, and each
-    frame matches or misses a live tracklet, so ``frame - end_frame`` counts
-    its misses. A tracklet turns Confirmed when it takes its first valid
-    detection, which sets ``fused.avg``; before that it is Tentative and
-    dies on its first miss. A Confirmed one turns Invisible at ``mu_m``
+    ``step_frame`` processes every frame while a tracklet is live, skipped
+    ones as empty, and each frame matches or misses a live tracklet, so
+    ``frame - end_frame`` counts its misses. A tracklet turns Confirmed
+    when it takes its first valid detection, which sets ``fused.avg``;
+    before that it is Tentative and dies on its first miss. A Confirmed one turns Invisible at ``mu_m``
     misses and disappears ``mu_d`` misses later.
     """
     misses = frame - t.end_frame
@@ -315,7 +316,8 @@ def step_frame(
 
     All detections must share one frame index, strictly later than the
     last processed frame. Skipped frame indices are processed as empty
-    frames, so misses accrue per frame even across detector gaps.
+    frames, so misses accrue per frame even across detector gaps, until no
+    tracklet is live; the rest of the gap is not visited.
     """
     if frame is None:
         if not dets:
@@ -334,6 +336,10 @@ def step_frame(
                 f"frame {frame} not after current frame {state.current_frame}"
             )
         for gap_frame in range(state.current_frame + 1, frame):
+            if not state.tracklets:
+                # With no live tracklet, an empty frame changes nothing but
+                # ``current_frame``: the rest of the gap is dead air.
+                break
             _process_one_frame(state, gap_frame, [])
     _process_one_frame(state, frame, dets)
     return state
@@ -367,16 +373,28 @@ def run_sct(
     by_frame: dict[int, list[DetectionObservation]] = {}
     for det in sorted(dets, key=lambda d: d.frame):
         by_frame.setdefault(det.frame, []).append(det)
-    first = min(by_frame)
-    last = max(by_frame)
-    span = last - first + 1
-    k = span if offline else cfg.k_interval
+    frames = list(by_frame)  # in frame order
+    first, last = frames[0], frames[-1]
+    k = last - first + 1 if offline else cfg.k_interval
 
     # Windows are sorted and consecutive, so their concatenation is sorted.
     rows: list[TrackRow] = []
-    for frame in range(first, last + 1):
+    frame = first
+    while True:
         step_frame(state, by_frame.get(frame, []), frame)
         if (frame - first + 1) % k == 0 or frame == last:
             state, emitted = cluster_tracklets(state)
             rows.extend(emitted)
-    return rows, state
+        if frame == last:
+            return rows, state
+        frame += 1
+        if not state.tracklets:
+            # Dead air: until the next detection, an empty frame changes
+            # nothing but ``current_frame``. A window end emits the finished
+            # tracklets, if there are any, and no row otherwise: the
+            # tracklets to come hold only later frames, so a later window
+            # emits the same rows for them.
+            skip_to = frames[bisect_left(frames, frame)]
+            if state.finished:
+                skip_to = min(skip_to, frame + (first - frame - 1) % k)
+            frame = skip_to

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mtmctrack.assignment import AssignmentResult, greedy_associate, hungarian
+from mtmctrack.assignment import (
+    AssignmentResult,
+    _shortest_augmenting_path,
+    greedy_associate,
+    hungarian,
+)
 from mtmctrack.core import FORBIDDEN
 
 
@@ -68,9 +73,30 @@ def one_to_one_matrices(draw):
     return m
 
 
+@st.composite
+def solver_inputs(draw):
+    """A wide or tall finite matrix in one of the patterns where the
+    solver's tie rules decide: float entries, small integers, constant
+    rows, or one value everywhere."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pattern = draw(st.sampled_from(["float", "small_int", "constant_rows", "all_equal"]))
+    if pattern == "float":
+        cells = draw(st.lists(st.floats(0.0, 1e6), min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells).reshape(rows, cols)
+    small = st.integers(0, 3).map(float)
+    if pattern == "small_int":
+        cells = draw(st.lists(small, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells).reshape(rows, cols)
+    if pattern == "constant_rows":
+        column = draw(st.lists(small, min_size=rows, max_size=rows))
+        return np.repeat(np.array(column)[:, None], cols, axis=1)
+    return np.full((rows, cols), draw(small))
+
+
 def solver_reference(m):
-    """The solver path written out: scipy on the matrix with every forbidden
-    entry replaced by the feasible sum plus 1."""
+    """The solver path written out: SciPy, the oracle of the package's own
+    solver, on the matrix with every forbidden entry replaced by the
+    feasible sum plus 1."""
     rows, cols = m.shape
     feasible = np.isfinite(m)
     pairs = []
@@ -211,6 +237,20 @@ class TestHungarian:
         assert sum(m[r, c] for r, c in result.matched_pairs) == oracle_cost
         feasible_rows, feasible_cols = np.nonzero(np.isfinite(m))
         assert result.matched_pairs == list(zip(feasible_rows.tolist(), feasible_cols.tolist()))
+
+    @settings(max_examples=600, deadline=None)
+    @given(solver_inputs())
+    def test_solver_picks_scipys_matching(self, m):
+        # The same pairs, not only the same cost: equal-cost matchings are
+        # told apart by SciPy's tie rules, which the port follows.
+        want = sorted(zip(*(a.tolist() for a in linear_sum_assignment(m))))
+        assert sorted(_shortest_augmenting_path(m.tolist())) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=costs_and_nan_cell(st.integers(0, 3).map(float) | st.floats(0.0, 10.0), 8))
+    def test_forbidden_cells_match_solver_reference(self, drawn):
+        m, _ = drawn
+        assert hungarian(m) == solver_reference(m)
 
     @pytest.mark.parametrize(
         "matrix, message",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtmctrack import evaluation
 from mtmctrack.core import BBox, TrackRow, TrackTable
-from mtmctrack.evaluation import _join
+from mtmctrack.evaluation import join_tracks
 from mtmctrack.synth import ScenarioSpec, generate_scenario
 
 
@@ -394,9 +394,9 @@ def per_key_join(gt, pred, thr):
 
 
 def join_by_key(gt, pred, thr):
-    """``_join`` of two row lists in ``per_key_join``'s shape. Its hits are
+    """``join_tracks`` of two row lists in ``per_key_join``'s shape. Its hits are
     consumed in order, key by key, so hits out of key order fail."""
-    join = _join(TrackTable.from_rows(gt), TrackTable.from_rows(pred), thr)
+    join = join_tracks(TrackTable.from_rows(gt), TrackTable.from_rows(pred), thr)
     rows = list(join.rows)
     hits = list(zip(join.hit_g.tolist(), join.hit_p.tolist(), join.hit_iou.tolist()))
     out = []
@@ -449,4 +449,63 @@ class TestColocatedChunks:
         gt = TrackTable.from_rows(side(1, truth_repeats))
         pred = TrackTable.from_rows(side(5, pred_repeats))
         with pytest.raises(ValueError, match=f"^duplicate row for identity {named}$"):
-            _join(gt, pred, 0.5)
+            join_tracks(gt, pred, 0.5)
+
+
+class TestSharedJoin:
+    def tables(self, seed=3):
+        spec = ScenarioSpec(
+            num_identities=5, num_cameras=2, frames=30, bbox_jitter_sigma=2.0, seed=seed
+        )
+        gt = generate_scenario(spec).gt_rows
+        # Every fourth frame's boxes move off their truth, and the rest are
+        # relabelled, so the prediction misses, switches and splits.
+        pred = []
+        for r in gt:
+            if r.frame % 4:
+                pred.append(TrackRow(r.camera_id, r.frame, (r.identity + r.frame // 10) % 7, r.bbox))
+            else:
+                box = BBox(r.bbox.x + r.bbox.w, r.bbox.y, r.bbox.w, r.bbox.h)
+                pred.append(TrackRow(r.camera_id, r.frame, r.identity, box))
+        return TrackTable.from_rows(gt), TrackTable.from_rows(pred)
+
+    def test_reports_from_a_shared_join_equal_those_without(self):
+        gt, pred = self.tables()
+        for thr in (0.3, 0.5):
+            join = join_tracks(gt, pred, thr)
+            for metric in (evaluation.id_measures, evaluation.clear_metrics):
+                assert metric(gt, pred, thr, join=join) == metric(gt, pred, thr)
+
+    @pytest.mark.parametrize("metric", [evaluation.id_measures, evaluation.clear_metrics])
+    def test_a_join_of_other_tables_or_threshold_is_refused(self, metric):
+        gt, pred = self.tables()
+        other_gt, other_pred = self.tables(seed=4)
+        for join in (
+            join_tracks(gt, pred, 0.3),
+            join_tracks(other_gt, pred, 0.5),
+            join_tracks(gt, other_pred, 0.5),
+        ):
+            with pytest.raises(ValueError, match="join was built from other tables"):
+                metric(gt, pred, 0.5, join=join)
+
+    def test_run_eval_stage_builds_one_join(self, monkeypatch):
+        from mtmctrack import pipeline
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return join_tracks(*args)
+
+        monkeypatch.setattr(evaluation, "join_tracks", counted)
+        monkeypatch.setattr(pipeline, "join_tracks", counted)
+        gt, pred = self.tables()
+        report = pipeline.run_eval_stage(gt, pred)
+        assert len(calls) == 1
+        ids, clear = evaluation.id_measures(gt, pred), evaluation.clear_metrics(gt, pred)
+        assert (report["idf1"], report["idtp"], report["mota"], report["ids"]) == (
+            ids.idf1,
+            ids.idtp,
+            clear.mota,
+            clear.ids,
+        )

@@ -6,7 +6,9 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -126,6 +128,8 @@ def test_every_exported_name_is_used():
 
 
 def test_third_party_imports_are_declared_dependencies():
+    # Both ways: an import that is not declared fails, and so does a
+    # declared runtime dependency that nothing under src imports.
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     # Each import name here equals its distribution's name.
     declared = {
@@ -143,7 +147,25 @@ def test_third_party_imports_are_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"__future__", "mtmctrack"}
     assert third_party, "no third-party import found; is the source tree readable?"
-    assert sorted(third_party - declared) == []
+    assert sorted(third_party) == sorted(declared)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # The assignment solver is the package's own; SciPy is only the tests'
+    # oracle. A fresh process sees what the import alone loads.
+    code = (
+        "import sys, mtmctrack.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def source_words():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import time
 from unittest import mock
 
 import numpy as np
@@ -1139,3 +1140,99 @@ class TestPhaseIsTheAutomaton:
                 if (frame + 1) % k_interval == 0:
                     state, _ = cluster_tracklets(state)
                     check()
+
+
+def per_frame_run_sct(dets, cfg, offline):
+    """``run_sct`` as a loop over every frame index from the first
+    detection's to the last, one ``step_frame`` each, clustering at each
+    window end: the reference for skipping dead air."""
+    by_frame = {}
+    for d in sorted(dets, key=lambda d: d.frame):
+        by_frame.setdefault(d.frame, []).append(d)
+    first, last = min(by_frame), max(by_frame)
+    k = last - first + 1 if offline else cfg.k_interval
+    state = CameraTrackerState(camera_id=dets[0].camera_id, cfg=cfg)
+    rows = []
+    for frame in range(first, last + 1):
+        step_frame(state, by_frame.get(frame, []), frame)
+        if (frame - first + 1) % k == 0 or frame == last:
+            state, emitted = cluster_tracklets(state)
+            rows.extend(emitted)
+    return rows, state
+
+
+def cut_with_late_frame(gap):
+    """The first 20 frames of ``easy_single_cam``, plus its frame 20 moved
+    ``gap`` frames after frame 19."""
+    from mtmctrack.synth import generate_scenario, scenario_presets
+
+    data = generate_scenario(scenario_presets()["easy_single_cam"])
+    first = min(d.frame for d in data.detections)
+    cut = [d for d in data.detections if d.frame < first + 20]
+    late = [
+        dataclasses.replace(d, frame=first + 19 + gap)
+        for d in data.detections
+        if d.frame == first + 20
+    ]
+    assert cut and late
+    return cut + late
+
+
+class TestDeadAir:
+    @pytest.mark.parametrize("gap", [100, 10_000])
+    @pytest.mark.parametrize("offline", [True, False])
+    @pytest.mark.parametrize("k_interval", [600, 7])
+    def test_rows_and_state_match_the_per_frame_loop(self, gap, offline, k_interval):
+        # With a 100-frame gap the tracklets stay live across it; with
+        # 10,000 they die and the rest is dead air, crossing window ends.
+        cfg = TrackerConfig(k_interval=k_interval)
+        dets = cut_with_late_frame(gap)
+        rows, state = run_sct(copy.deepcopy(dets), cfg, offline=offline)
+        want_rows, want = per_frame_run_sct(copy.deepcopy(dets), cfg, offline)
+        assert rows == want_rows
+        assert [t.id for t in state.tracklets] == [t.id for t in want.tracklets]
+        assert (state.next_id, state.current_frame, state.last_emit_frame, state.finished) == (
+            want.next_id,
+            want.current_frame,
+            want.last_emit_frame,
+            want.finished,
+        )
+
+    @pytest.mark.parametrize("offline", [True, False])
+    def test_a_million_frame_gap_runs_in_under_a_second(self, offline):
+        dets = cut_with_late_frame(1_000_000)
+        start = time.perf_counter()
+        rows, state = run_sct(dets, TrackerConfig(), offline=offline)
+        assert time.perf_counter() - start < 1.0
+        assert state.current_frame == max(d.frame for d in dets)
+        assert {r.frame for r in rows} == {d.frame for d in dets}
+
+    @pytest.mark.parametrize("gap", [100, 10_000])
+    def test_step_frame_across_a_gap_matches_stepping_each_frame(self, gap):
+        by_frame = {}
+        for d in cut_with_late_frame(gap):
+            by_frame.setdefault(d.frame, []).append(d)
+        across, each = (CameraTrackerState(camera_id=0, cfg=TrackerConfig()) for _ in range(2))
+        for frame, frame_dets in by_frame.items():
+            step_frame(across, copy.deepcopy(frame_dets), frame)
+            if each.current_frame is not None:
+                for empty in range(each.current_frame + 1, frame):
+                    step_frame(each, [], empty)
+            step_frame(each, copy.deepcopy(frame_dets), frame)
+
+        def summary(state):
+            def frames(tracklets):
+                return [(t.id, [(o.frame, o.bbox) for o in t.observations]) for t in tracklets]
+
+            return frames(state.tracklets), frames(state.finished), state.next_id, state.current_frame
+
+        assert summary(across) == summary(each)
+
+    def test_step_frame_skips_a_million_frames_of_dead_air(self):
+        dets = cut_with_late_frame(1_000_000)
+        state = CameraTrackerState(camera_id=0, cfg=TrackerConfig())
+        start = time.perf_counter()
+        for frame in sorted({d.frame for d in dets}):
+            step_frame(state, [d for d in dets if d.frame == frame], frame)
+        assert time.perf_counter() - start < 1.0
+        assert state.current_frame == max(d.frame for d in dets)
