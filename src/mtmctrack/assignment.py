@@ -6,8 +6,9 @@ Hungarian path returns a minimum-cost matching of maximal feasible size; the
 greedy path accepts globally cheapest pairs until the threshold is crossed.
 Where no row and no column has more than one feasible entry, that matching
 is the feasible entries themselves, and the Hungarian path returns them
-without calling the solver: most per-frame matrices of tracking and
-evaluation look like this.
+without calling the solver: most per-frame matrices of tracking look like
+this. The CLEAR evaluation finds its (camera, frame) keys of this shape
+from its join and takes their pairs without sending them here.
 
 The solver is the shortest augmenting path algorithm of Crouse, "On
 implementing 2D rectangular assignment algorithms" (IEEE Trans. Aerospace
@@ -33,15 +34,15 @@ from .core import FORBIDDEN
 @dataclass
 class AssignmentResult:
     matched_pairs: list[tuple[int, int]]
-    unmatched_rows: list[int]
     unmatched_cols: list[int]
 
 
 def hungarian(matrix: np.ndarray) -> AssignmentResult:
     """Minimum-total-cost matching of maximal feasible size.
 
-    Forbidden entries are never matched; rows and columns that end up
-    without a feasible partner land in the unmatched lists. The result is
+    Forbidden entries are never matched; columns that end up without a
+    feasible partner land in ``unmatched_cols`` (a tracker starts a new
+    tracklet from each such detection). The result is
     a deterministic function of the input. Raises ValueError when the
     feasible costs sum so high that adding 1 is lost (possible from 2**53).
     """
@@ -52,11 +53,11 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
         raise ValueError("distance matrix contains NaN")
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return AssignmentResult([], list(range(rows)), list(range(cols)))
+        return AssignmentResult([], list(range(cols)))
 
     feasible = np.isfinite(m)
     if not feasible.any():
-        return AssignmentResult([], list(range(rows)), list(range(cols)))
+        return AssignmentResult([], list(range(cols)))
     costs = m[feasible]
     if costs.min() < 0.0:
         raise ValueError("distance matrix entries must be non-negative")
@@ -83,11 +84,9 @@ def hungarian(matrix: np.ndarray) -> AssignmentResult:
             for r, c in _shortest_augmenting_path(np.where(feasible, m, surrogate).tolist())
             if feasible[r, c]
         )
-    matched_r = {r for r, _ in pairs}
     matched_c = {c for _, c in pairs}
     return AssignmentResult(
         matched_pairs=pairs,
-        unmatched_rows=[r for r in range(rows) if r not in matched_r],
         unmatched_cols=[c for c in range(cols) if c not in matched_c],
     )
 

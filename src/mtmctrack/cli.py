@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,16 @@ def _orientation_arg(value: str) -> str:
             f"--orientation must be 'geometric' or 'mlp:<weightfile>', got {value!r}"
         )
     return value
+
+
+def _iou_arg(value: str) -> float:
+    try:
+        iou = float(value)
+    except ValueError:
+        iou = math.nan
+    if not 0.0 < iou < 1.0:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"--iou must lie in (0, 1), got {value!r}")
+    return iou
 
 
 def _estimator_from_arg(value: str) -> OrientationEstimator:
@@ -95,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="camera-column CSV, or a directory of per-camera cam<N>.txt files",
     )
     p_eval.add_argument("--out", type=Path, default=None)
-    p_eval.add_argument("--iou", type=float, default=0.5)
+    p_eval.add_argument(
+        "--iou", type=_iou_arg, default=0.5, help="co-location threshold in (0, 1) (default: 0.5)"
+    )
 
     p_pipe = sub.add_parser("pipeline", help="synth -> sct -> mct -> eval")
     p_pipe.add_argument("--preset", required=True, choices=sorted(scenario_presets()))

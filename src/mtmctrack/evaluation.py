@@ -19,9 +19,10 @@ comparing neighbours. It batches consecutive keys into chunks of at most
 own) and scores each chunk with one ``core.iou_aligned`` pass, the
 package's one IoU formula. Its entries do not depend on their neighbours,
 so the chunking changes no overlap. The identity measures count the hits
-into the overlap array with one ``np.bincount``; the CLEAR pass counts the
-rows of keys with one side empty by array sums and solves a matching only
-for keys with rows on both sides.
+into the overlap array with one ``np.bincount``; the CLEAR pass takes the
+hits of every key where no row co-locates with two rows as its matching,
+solves a matching only for the other keys, and counts the misses, false
+positives and switches over all matched pairs by array passes.
 """
 
 from __future__ import annotations
@@ -224,55 +225,74 @@ def clear_metrics(
     gated at the threshold; pairings that continue the previous association
     of a truth identity are preferred over cheaper fresh ones. A switch is
     a matched truth box whose predicted identity differs from that truth
-    identity's previous pairing in the same camera. A key with rows on one
-    side only adds them to FN or FP and changes no pairing. ``join``, when
-    given, must be ``join_tracks(gt, pred, iou_threshold)``.
+    identity's previous pairing in the same camera. ``join``, when given,
+    must be ``join_tracks(gt, pred, iou_threshold)``.
+
+    Only a key where some row co-locates with two or more rows has a
+    choice, and only such a key builds a cost matrix and calls
+    ``hungarian``, in key order. In every other key, one-sided keys and
+    keys without a co-locating pair included, the co-locating pairs are the
+    only maximal matching whatever their costs, so they are taken as
+    matched without a solve. The switches are then counted over all matched
+    pairs at once, in key order per camera and truth identity.
     """
     join = _join_of(gt, pred, iou_threshold, join)
-    n, m = join.n, join.m
-    fp = int(m[n == 0].sum())
-    fn = int(n[m == 0].sum())
-    ids = 0
-    last_pair: dict[tuple[int, int], int] = {}  # (camera, gt id) -> pred id
-
-    paired = np.flatnonzero((n > 0) & (m > 0))
+    rows, hit_g, hit_p = join.rows, join.hit_g, join.hit_p
     # The hits run in key order, so each key's hits are one slice.
-    hit_key = np.searchsorted(join.first, join.hit_g, side="right") - 1
-    hit_start = np.searchsorted(hit_key, paired, side="left").tolist()
-    hit_end = np.searchsorted(hit_key, paired, side="right").tolist()
-    identity = join.rows.identity.tolist()
-    hit_g, hit_p, hit_iou = join.hit_g.tolist(), join.hit_p.tolist(), join.hit_iou.tolist()
-    first = join.first[paired]
-    for cam, g0, n_k, m_k, start, end in zip(
-        join.rows.camera[first].tolist(),
-        first.tolist(),
-        n[paired].tolist(),
-        m[paired].tolist(),
-        hit_start,
-        hit_end,
+    hit_key = np.searchsorted(join.first, hit_g, side="right") - 1
+    hits_of_row = np.bincount(np.concatenate((hit_g, hit_p)), minlength=len(rows))
+    choice = np.unique(hit_key[(hits_of_row[hit_g] > 1) | (hits_of_row[hit_p] > 1)])
+    is_choice = np.zeros(len(join.first), dtype=bool)
+    is_choice[choice] = True
+    matched = ~is_choice[hit_key]
+
+    hit_cam = rows.camera[hit_g].tolist()
+    hit_gid = rows.identity[hit_g].tolist()
+    hit_pid = rows.identity[hit_p].tolist()
+    hit_iou = join.hit_iou.tolist()
+    last_pair: dict[tuple[int, int], int] = {}  # (camera, gt id) -> pred id
+    done = 0  # last_pair holds the matches among the hits before this one
+    for g0, n_k, m_k, start, end in zip(
+        join.first[choice].tolist(),
+        join.n[choice].tolist(),
+        join.m[choice].tolist(),
+        np.searchsorted(hit_key, choice, side="left").tolist(),
+        np.searchsorted(hit_key, choice, side="right").tolist(),
     ):
+        # The hits since the last key with a choice are all matched.
+        last_pair.update(zip(zip(hit_cam[done:start], hit_gid[done:start]), hit_pid[done:start]))
+        done = end
+        cam = hit_cam[start]
         p0 = g0 + n_k
-        g_ids = identity[g0:p0]
-        p_ids = identity[p0 : p0 + m_k]
         # Any single continuation outweighs every possible IoU saving.
         penalty = 2.0 * (n_k + m_k) + 10.0
         cost = np.full((n_k, m_k), FORBIDDEN)
-        for g, p, overlap in zip(hit_g[start:end], hit_p[start:end], hit_iou[start:end]):
+        hit_at = {}  # (i, j) -> hit
+        for h, g, p in zip(range(start, end), hit_g[start:end].tolist(), hit_p[start:end].tolist()):
             i, j = g - g0, p - p0
+            hit_at[i, j] = h
             # A box's IoU with itself can round a few ulps above 1.
-            cost[i, j] = max(0.0, 1.0 - overlap)
-            if last_pair.get((cam, g_ids[i])) != p_ids[j]:
+            cost[i, j] = max(0.0, 1.0 - hit_iou[h])
+            if last_pair.get((cam, hit_gid[h])) != hit_pid[h]:
                 cost[i, j] += penalty
-        result = hungarian(cost)
-        fn += len(result.unmatched_rows)
-        fp += len(result.unmatched_cols)
-        for i, j in result.matched_pairs:
-            g_id = g_ids[i]
-            p_id = p_ids[j]
-            prev = last_pair.get((cam, g_id))
-            if prev is not None and prev != p_id:
-                ids += 1
-            last_pair[(cam, g_id)] = p_id
+        for i, j in hungarian(cost).matched_pairs:
+            h = hit_at[i, j]
+            matched[h] = True
+            last_pair[(cam, hit_gid[h])] = hit_pid[h]
+
+    # Every matched pair is a hit, and each truth and predicted row is in
+    # at most one.
+    pairs = int(np.count_nonzero(matched))
+    fn, fp = len(gt) - pairs, len(pred) - pairs
+    # A stable sort by camera and truth identity keeps each one's matches
+    # in key order; a switch is a change of predicted identity between two
+    # neighbours.
+    g, p = hit_g[matched], hit_p[matched]
+    camera, g_id, p_id = rows.camera[g], rows.identity[g], rows.identity[p]
+    order = np.lexsort((g_id, camera))
+    camera, g_id, p_id = camera[order], g_id[order], p_id[order]
+    same = (camera[1:] == camera[:-1]) & (g_id[1:] == g_id[:-1])
+    ids = int(np.count_nonzero(same & (p_id[1:] != p_id[:-1])))
 
     total_gt = len(gt)
     if total_gt > 0:

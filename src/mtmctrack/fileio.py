@@ -317,45 +317,52 @@ def parse_track_rows(path: PathLike, camera_id: Optional[int] = None) -> TrackTa
     anywhere in a row is an error: ``int()`` and ``float()`` would read it
     as a digit separator. A camera, frame or id outside int64 is an error.
 
-    The text is read once, with universal newlines, and checked once for
-    non-ASCII bytes and ``_``. Its lines are then decoded a chunk of about
-    ``TRACK_CHUNK_CHARS`` characters at a time: each column by ``map(int,
-    ...)`` or ``map(float, ...)`` into preallocated arrays, and the boxes
-    checked together at the end. When any of this fails, or a chunk mixes
-    7- and 10-column lines, the text is read again line by line with the
+    The file's bytes are read once, and their line ends ``\\r\\n`` and
+    ``\\r`` become ``\\n``, as universal newlines read them. The bytes are
+    checked once for non-ASCII bytes and ``_``, and then decoded a chunk of
+    about ``TRACK_CHUNK_CHARS`` characters at a time: each column by
+    ``map(int, ...)`` or ``map(float, ...)`` into preallocated arrays, and
+    the boxes checked together at the end, so no decoded copy of the whole
+    file is made. When any of this fails, or a chunk mixes 7- and 10-column
+    lines, the whole text is decoded and read again line by line with the
     row checks (``_parse_track_lines``), so a fault names its line, and a
     clean file of mixed flavors gets its table from that pass.
     """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    # A non-ASCII byte decodes to a lone surrogate, which strip() keeps, so
-    # either fault sits on a line that is not blank.
-    if text.isascii() and "_" not in text:
-        table = _decode_track_columns(text, camera_id)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        # One replacement per statement, so at most two copies are alive.
+        data = data.replace(b"\r\n", b"\n")
+        data = data.replace(b"\r", b"\n")
+    if data.isascii() and b"_" not in data:
+        table = _decode_track_columns(data, camera_id)
         if table is not None:
             return table
-    return _parse_track_lines(path, text, camera_id)
+    # A non-ASCII byte decodes to a lone surrogate, which strip() keeps, so
+    # either fault sits on a line that is not blank.
+    return _parse_track_lines(path, data.decode("ascii", "surrogateescape"), camera_id)
 
 
-def _decode_track_columns(text: str, camera_id: Optional[int]) -> Optional[TrackTable]:
-    """The table of an ASCII track text without ``_``, or None when a
-    column check fails: a chunk whose lines do not all have 7 (or, given
-    ``camera_id``, all 10) columns, a value that ``int()`` or ``float()``
-    refuses, an integer outside int64, a 7-column row of another camera
-    than ``camera_id``, or a box that is not finite with positive
-    extents."""
-    size = text.count("\n") + 1  # the line count bounds the row count
+def _decode_track_columns(data: bytes, camera_id: Optional[int]) -> Optional[TrackTable]:
+    """The table of ASCII track bytes without ``_`` and with ``\\n`` line
+    ends, or None when a column check fails: a chunk whose lines do not all
+    have 7 (or, given ``camera_id``, all 10) columns, a value that ``int()``
+    or ``float()`` refuses, an integer outside int64, a 7-column row of
+    another camera than ``camera_id``, or a box that is not finite with
+    positive extents."""
+    size = data.count(b"\n") + 1  # the line count bounds the row count
     camera = np.empty(size, dtype=np.int64)
     frame = np.empty(size, dtype=np.int64)
     identity = np.empty(size, dtype=np.int64)
     boxes = np.empty((size, 4), dtype=np.float64)
     n = start = 0
     try:
-        while start < len(text):
-            end = text.find("\n", start + TRACK_CHUNK_CHARS)
+        while start < len(data):
+            end = data.find(b"\n", start + TRACK_CHUNK_CHARS)
             if end < 0:
-                end = len(text)
-            lines = [line for line in map(str.strip, text[start:end].split("\n")) if line]
+                end = len(data)
+            text = data[start:end].decode("ascii")
+            lines = [line for line in map(str.strip, text.split("\n")) if line]
             start = end + 1
             if not lines:
                 continue

@@ -97,7 +97,7 @@ def solver_reference(m):
     """The solver path written out: SciPy, the oracle of the package's own
     solver, on the matrix with every forbidden entry replaced by the
     feasible sum plus 1."""
-    rows, cols = m.shape
+    cols = m.shape[1]
     feasible = np.isfinite(m)
     pairs = []
     if feasible.any():
@@ -107,7 +107,6 @@ def solver_reference(m):
         )
     return AssignmentResult(
         matched_pairs=pairs,
-        unmatched_rows=[r for r in range(rows) if r not in {r for r, _ in pairs}],
         unmatched_cols=[c for c in range(cols) if c not in {c for _, c in pairs}],
     )
 
@@ -116,7 +115,7 @@ class TestHungarian:
     def test_two_by_two_zeros_lexicographic(self):
         result = hungarian(np.zeros((2, 2)))
         assert result.matched_pairs == [(0, 0), (1, 1)]
-        assert result.unmatched_rows == [] and result.unmatched_cols == []
+        assert result.unmatched_cols == []
 
     def test_simple_two_by_two(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -128,7 +127,6 @@ class TestHungarian:
         m = np.array([[1.0, FORBIDDEN], [FORBIDDEN, FORBIDDEN]])
         result = hungarian(m)
         assert result.matched_pairs == [(0, 0)]
-        assert result.unmatched_rows == [1]
         assert result.unmatched_cols == [1]
 
     def test_empty_matrix(self):
@@ -139,7 +137,7 @@ class TestHungarian:
     def test_all_forbidden(self):
         result = hungarian(np.full((2, 2), FORBIDDEN))
         assert result.matched_pairs == []
-        assert result.unmatched_rows == [0, 1]
+        assert result.unmatched_cols == [0, 1]
 
     def test_rectangular(self):
         m = np.array([[5.0, 1.0, 9.0]])

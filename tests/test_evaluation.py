@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtmctrack import evaluation
+from mtmctrack.assignment import hungarian
 from mtmctrack.core import BBox, TrackRow, TrackTable
 from mtmctrack.evaluation import join_tracks
 from mtmctrack.synth import ScenarioSpec, generate_scenario
@@ -330,6 +331,136 @@ class TestClearMetrics:
         message = f"duplicate row for identity 1 at camera 0 frame 1 in the {named}$"
         with pytest.raises(ValueError, match=message):
             clear_metrics(gt, pred)
+
+
+def per_key_clear(gt, pred, thr=0.5):
+    """CLEAR of two tables with one ``hungarian`` call for every (camera,
+    frame) key with rows on both sides, forced or not: the pass as it was
+    before ``clear_metrics`` took a forced key's hits as its matching."""
+    join = join_tracks(gt, pred, thr)
+    n, m = join.n, join.m
+    fp = int(m[n == 0].sum())
+    fn = int(n[m == 0].sum())
+    ids = 0
+    last_pair = {}  # (camera, gt id) -> pred id
+    rows = list(join.rows)
+    hits = list(zip(join.hit_g.tolist(), join.hit_p.tolist(), join.hit_iou.tolist()))
+    for g0, n_k, m_k in zip(join.first.tolist(), n.tolist(), m.tolist()):
+        p0 = g0 + n_k
+        key_hits = [h for h in hits if g0 <= h[0] < p0]
+        if n_k == 0 or m_k == 0:
+            continue
+        cam = rows[g0].camera_id
+        g_ids = [r.identity for r in rows[g0:p0]]
+        p_ids = [r.identity for r in rows[p0 : p0 + m_k]]
+        penalty = 2.0 * (n_k + m_k) + 10.0
+        cost = np.full((n_k, m_k), np.inf)
+        for g, p, overlap in key_hits:
+            i, j = g - g0, p - p0
+            cost[i, j] = max(0.0, 1.0 - overlap)
+            if last_pair.get((cam, g_ids[i])) != p_ids[j]:
+                cost[i, j] += penalty
+        result = hungarian(cost)
+        fn += n_k - len(result.matched_pairs)
+        fp += len(result.unmatched_cols)
+        for i, j in result.matched_pairs:
+            prev = last_pair.get((cam, g_ids[i]))
+            ids += prev is not None and prev != p_ids[j]
+            last_pair[(cam, g_ids[i])] = p_ids[j]
+    mota = 1.0 - (fn + fp + ids) / len(gt) if len(gt) else (1.0 if fp == 0 else 0.0)
+    return evaluation.ClearReport(mota=mota, ids=ids, fp=fp, fn=fn)
+
+
+# Boxes are 10 x 10 at x = SLOT * slot + offset, offsets 0 to 3, so two
+# boxes of one slot co-locate at 0.5 (IoU at least 7/13) and boxes of two
+# slots never overlap.
+SLOT = 40.0
+KEY_KINDS = ("forced", "shared", "no_hit", "one_sided")
+
+
+@st.composite
+def clear_key(draw):
+    """One (camera, frame)'s truth and predicted boxes as ``(slot,
+    offset)`` lists, by kind: ``forced`` pairs one truth and one predicted
+    box per slot, ``shared`` adds a third box, on a drawn side, to the slot
+    of its first pair, so a row co-locates with two; ``no_hit`` has rows on
+    both sides and no two in one slot; ``one_sided`` has rows on one side.
+    Every kind but ``one_sided`` may add boxes alone in their slots."""
+    kind = draw(st.sampled_from(KEY_KINDS))
+    slots = draw(st.permutations(range(7)))
+    offset = st.integers(0, 3)
+    pairs = draw(st.integers(1, 3)) if kind in ("forced", "shared") else 0
+    truth = [(slots[k], draw(offset)) for k in range(pairs)]
+    predicted = [(slots[k], draw(offset)) for k in range(pairs)]
+    if kind == "shared":
+        (truth if draw(st.booleans()) else predicted).append((slots[0], draw(offset)))
+    low = {"no_hit": 1, "one_sided": 0}.get(kind, 0)
+    lone_truth, lone_pred = draw(st.integers(low, 2)), draw(st.integers(low, 2))
+    if kind == "one_sided":
+        lone_truth, lone_pred = (max(lone_truth, 1), 0) if draw(st.booleans()) else (0, max(lone_pred, 1))
+    truth += [(slots[pairs + k], draw(offset)) for k in range(lone_truth)]
+    predicted += [(slots[pairs + lone_truth + k], draw(offset)) for k in range(lone_pred)]
+    return kind, truth, predicted
+
+
+@st.composite
+def clear_scene(draw):
+    """Truth and predicted tables over drawn keys in two cameras, and the
+    number of keys with a choice. Identities come from six per side, so a
+    truth identity meets other predicted ones from key to key, across
+    forced keys and keys with a choice alike."""
+    gt, pred, choices = [], [], 0
+    for frame in range(draw(st.integers(1, 12))):
+        camera = draw(st.integers(0, 1))
+        kind, truth, predicted = draw(clear_key())
+        choices += kind == "shared"
+        for side, boxes in ((gt, truth), (pred, predicted)):
+            identities = draw(st.permutations(range(6)))
+            side += [
+                row(frame, identities[k], x=SLOT * slot + off, cam=camera)
+                for k, (slot, off) in enumerate(boxes)
+            ]
+    return TrackTable.from_rows(gt), TrackTable.from_rows(pred), choices
+
+
+def counted_clear_metrics(gt, pred):
+    """``evaluation.clear_metrics`` of two tables, and the shape of each
+    matrix it sent to ``hungarian``."""
+    shapes = []
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return hungarian(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "hungarian", counted)
+        return evaluation.clear_metrics(gt, pred), shapes
+
+
+class TestForcedKeys:
+    """``clear_metrics`` solves only the keys where a row co-locates with
+    two rows; the reference solves every key with rows on both sides."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scene=clear_scene())
+    def test_matches_the_per_key_reference(self, scene):
+        gt, pred, choices = scene
+        report, shapes = counted_clear_metrics(gt, pred)
+        assert report == per_key_clear(gt, pred)
+        assert len(shapes) == choices
+
+    def test_switches_cross_between_forced_keys_and_keys_with_a_choice(self):
+        # Truth 1 pairs with 7 (forced), 8 (a choice between 8 and 9, with
+        # no carry-over for either), 9 (forced) and 9 again in camera 1,
+        # whose carry-over is its own: two switches in camera 0, none in 1.
+        gt = TrackTable.from_rows([row(0, 1), row(1, 1), row(2, 1), row(0, 1, cam=1)])
+        pred = TrackTable.from_rows(
+            [row(0, 7), row(1, 8), row(1, 9, x=2.0), row(2, 9), row(0, 9, cam=1)]
+        )
+        report, shapes = counted_clear_metrics(gt, pred)
+        assert (report.ids, report.fp, report.fn) == (2, 1, 0)
+        assert shapes == [(1, 2)]
+        assert report == per_key_clear(gt, pred)
 
 
 class TestScoredAgainstItself:

@@ -1295,6 +1295,26 @@ class TestCli:
             main(argv + ["--orientation", "mlp-weights.txt"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "1.5", "nan", "inf", "half"])
+    def test_iou_out_of_range_is_a_usage_error_before_reading(self, tmp_path, capsys, value):
+        # The track files do not exist: the flag is refused before either
+        # is read.
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--gt", missing, "--pred", missing, f"--iou={value}"])
+        assert info.value.code == 2
+        assert f"--iou must lie in (0, 1), got '{value}'" in capsys.readouterr().err
+
+    def test_iou_flag_sets_the_threshold(self, tmp_path, capsys):
+        # Shifted by half a width, each box meets its truth at IoU 1/3.
+        gt, pred = tmp_path / "gt.csv", tmp_path / "pred.csv"
+        write_track_rows(gt, [TrackRow(0, f, 1, BBox(0, 0, 20, 40)) for f in range(4)], True)
+        write_track_rows(pred, [TrackRow(0, f, 1, BBox(10, 0, 20, 40)) for f in range(4)], True)
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--iou", "0.3"]) == 0
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--iou", "0.4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("idf1=1.0 ") and lines[1].startswith("idf1=0.0 ")
+
     @pytest.mark.parametrize("command", ["sct", "mct", "pipeline"])
     @pytest.mark.parametrize("fault", ["missing", "malformed"])
     def test_weight_file_fault_returns_error_naming_it(self, tmp_path, caplog, command, fault):
